@@ -1,6 +1,7 @@
 #include "bench/bench_util.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -8,6 +9,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "common/json.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -73,51 +75,27 @@ std::string BenchJsonPath() {
 #endif
 }
 
-// Reads back the flat {"name": ms} object this module writes. Tolerant of
-// whitespace; anything unparseable is dropped (the file is ours alone).
-std::map<std::string, double> LoadBenchJson(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  if (!in) return out;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  size_t pos = 0;
-  while ((pos = text.find('"', pos)) != std::string::npos) {
-    size_t end = text.find('"', pos + 1);
-    if (end == std::string::npos) break;
-    std::string key = text.substr(pos + 1, end - pos - 1);
-    size_t colon = text.find(':', end);
-    if (colon == std::string::npos) break;
-    char* parsed_end = nullptr;
-    double value = std::strtod(text.c_str() + colon + 1, &parsed_end);
-    if (parsed_end != text.c_str() + colon + 1) out[key] = value;
-    pos = colon + 1;
-  }
-  return out;
-}
-
-/// Read-merge-write of the flat bench report.
+/// Read-merge-write of the flat bench report. A report that is not a JSON
+/// object is replaced wholesale (the file is ours alone). Values keep three
+/// decimals.
 void MergeIntoBenchJson(const std::map<std::string, double>& updates) {
+  using common::JsonValue;
   const std::string path = BenchJsonPath();
-  auto entries = LoadBenchJson(path);
-  for (const auto& [key, value] : updates) entries[key] = value;
+  JsonValue report = JsonValue::Object();
+  if (std::ifstream in(path); in) {
+    std::stringstream buf;
+    buf << in.rdbuf();
+    auto parsed = JsonValue::Parse(buf.str());
+    if (parsed.ok() && parsed->is_object()) report = std::move(parsed).value();
+  }
+  for (const auto& [key, value] : updates) {
+    report.Set(key, JsonValue::Number(std::round(value * 1000.0) / 1000.0));
+  }
   std::ofstream out(path, std::ios::trunc);
-  if (!out) {
+  if (!(out << report.Dump() << "\n")) {
     std::fprintf(stderr, "warning: cannot write bench report %s\n",
                  path.c_str());
-    return;
   }
-  out << "{\n";
-  bool first = true;
-  for (const auto& [key, value] : entries) {
-    if (!first) out << ",\n";
-    first = false;
-    char num[64];
-    std::snprintf(num, sizeof(num), "%.3f", value);
-    out << "  \"" << key << "\": " << num;
-  }
-  out << "\n}\n";
 }
 
 /// atexit hook: embeds the process's final metrics snapshot in the bench

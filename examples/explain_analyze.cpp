@@ -79,8 +79,8 @@ int main(int argc, char** argv) {
   if (!resp.ok()) return Fail(resp.status);
 
   if (json) {
-    std::printf("%s\n", resp.trace->Json().c_str());
-    std::printf("%s\n", obs::Metrics().SnapshotJson().c_str());
+    std::printf("%s\n", resp.trace->Json().Dump().c_str());
+    std::printf("%s\n", obs::Metrics().SnapshotJson().Dump().c_str());
     return 0;
   }
 

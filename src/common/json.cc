@@ -307,6 +307,11 @@ class JsonParser {
       if (pos_ >= text_.size()) return Fail("unterminated string");
       char c = text_[pos_++];
       if (c == '"') return Status::OK();
+      // RFC 8259: control characters must be escaped inside strings.
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        return Fail("unescaped control character in string");
+      }
       if (c != '\\') {
         out->push_back(c);
         continue;

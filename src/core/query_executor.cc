@@ -677,7 +677,7 @@ Result<std::vector<store::DocId>> QueryExecutor::CandidateDocs(
   return docs;
 }
 
-Result<tax::TreeCollection> QueryExecutor::SelectImpl(
+Result<tax::TreeCollection> QueryExecutor::Select(
     const std::string& collection, const PatternTree& pattern,
     const std::vector<int>& sl, const QueryOptions& options, ExecStats* stats,
     obs::Span* parent) const {
@@ -724,14 +724,7 @@ Result<tax::TreeCollection> QueryExecutor::SelectImpl(
   return result;
 }
 
-Result<tax::TreeCollection> QueryExecutor::Select(
-    const std::string& collection, const PatternTree& pattern,
-    const std::vector<int>& sl, const QueryOptions& options, ExecStats* stats,
-    obs::Span* parent) const {
-  return SelectImpl(collection, pattern, sl, options, stats, parent);
-}
-
-Result<tax::TreeCollection> QueryExecutor::ProjectImpl(
+Result<tax::TreeCollection> QueryExecutor::Project(
     const std::string& collection, const PatternTree& pattern,
     const std::vector<tax::ProjectItem>& pl, const QueryOptions& options,
     ExecStats* stats, obs::Span* parent) const {
@@ -775,14 +768,7 @@ Result<tax::TreeCollection> QueryExecutor::ProjectImpl(
   return result;
 }
 
-Result<tax::TreeCollection> QueryExecutor::Project(
-    const std::string& collection, const PatternTree& pattern,
-    const std::vector<tax::ProjectItem>& pl, const QueryOptions& options,
-    ExecStats* stats, obs::Span* parent) const {
-  return ProjectImpl(collection, pattern, pl, options, stats, parent);
-}
-
-Result<tax::TreeCollection> QueryExecutor::GroupByImpl(
+Result<tax::TreeCollection> QueryExecutor::GroupBy(
     const std::string& collection, const PatternTree& pattern,
     int group_label, const std::vector<int>& sl, const QueryOptions& options,
     ExecStats* stats, obs::Span* parent) const {
@@ -833,15 +819,7 @@ Result<tax::TreeCollection> QueryExecutor::GroupByImpl(
   return result;
 }
 
-Result<tax::TreeCollection> QueryExecutor::GroupBy(
-    const std::string& collection, const PatternTree& pattern,
-    int group_label, const std::vector<int>& sl, const QueryOptions& options,
-    ExecStats* stats, obs::Span* parent) const {
-  return GroupByImpl(collection, pattern, group_label, sl, options, stats,
-                     parent);
-}
-
-Result<tax::TreeCollection> QueryExecutor::JoinImpl(
+Result<tax::TreeCollection> QueryExecutor::Join(
     const std::string& left, const std::string& right,
     const PatternTree& pattern, const std::vector<int>& sl,
     const QueryOptions& options, ExecStats* stats, obs::Span* parent) const {
@@ -1123,13 +1101,6 @@ Result<tax::TreeCollection> QueryExecutor::JoinImpl(
     stats->result_trees += result.size();
   }
   return result;
-}
-
-Result<tax::TreeCollection> QueryExecutor::Join(
-    const std::string& left, const std::string& right,
-    const PatternTree& pattern, const std::vector<int>& sl,
-    const QueryOptions& options, ExecStats* stats, obs::Span* parent) const {
-  return JoinImpl(left, right, pattern, sl, options, stats, parent);
 }
 
 }  // namespace toss::core

@@ -137,7 +137,8 @@ class QueryExecutor {
   //
   // service::TossService routes every QueryRequest through these. `parent`
   // (optional) attaches the per-phase trace spans to a caller-owned trace
-  // (EXPLAIN ANALYZE is: pass a root span, render trace->Pretty()).
+  // (EXPLAIN ANALYZE is: pass a root span, render trace->Pretty()); a null
+  // parent disables every span for the cost of one branch.
 
   /// sigma_{P,SL} over one collection.
   Result<tax::TreeCollection> Select(const std::string& collection,
@@ -197,34 +198,6 @@ class QueryExecutor {
                               const tax::PatternTree& pattern) const;
 
  private:
-  // The *Impl functions are the single code path behind every entry point;
-  // `parent == nullptr` disables every span for the cost of one branch
-  // (obs::Span's null-parent convention).
-  Result<tax::TreeCollection> SelectImpl(const std::string& collection,
-                                         const tax::PatternTree& pattern,
-                                         const std::vector<int>& sl,
-                                         const QueryOptions& options,
-                                         ExecStats* stats,
-                                         obs::Span* parent) const;
-  Result<tax::TreeCollection> ProjectImpl(
-      const std::string& collection, const tax::PatternTree& pattern,
-      const std::vector<tax::ProjectItem>& pl, const QueryOptions& options,
-      ExecStats* stats, obs::Span* parent) const;
-  Result<tax::TreeCollection> GroupByImpl(const std::string& collection,
-                                          const tax::PatternTree& pattern,
-                                          int group_label,
-                                          const std::vector<int>& sl,
-                                          const QueryOptions& options,
-                                          ExecStats* stats,
-                                          obs::Span* parent) const;
-  Result<tax::TreeCollection> JoinImpl(const std::string& left,
-                                       const std::string& right,
-                                       const tax::PatternTree& pattern,
-                                       const std::vector<int>& sl,
-                                       const QueryOptions& options,
-                                       ExecStats* stats,
-                                       obs::Span* parent) const;
-
   /// Phases (i) + (ii), with the phase (i) rewrite served from
   /// `options.prepared` when possible and the cancel token checked between
   /// store queries.

@@ -42,7 +42,7 @@ const char* JoinEngineName(JoinEngine e) {
   return "none";
 }
 
-std::string RequestRecord::Json() const {
+common::JsonValue RequestRecord::Json() const {
   using common::JsonValue;
   JsonValue doc = JsonValue::Object();
   doc.Set("id", JsonValue::Number(static_cast<double>(id)));
@@ -67,7 +67,7 @@ std::string RequestRecord::Json() const {
   doc.Set("shed", JsonValue::Bool(HasFlag(kShed)));
   doc.Set("mutation", JsonValue::Bool(HasFlag(kMutation)));
   doc.Set("trace_sampled", JsonValue::Bool(HasFlag(kTraceSampled)));
-  return doc.Dump();
+  return doc;
 }
 
 FlightRecorder& FlightRecorder::Global() {
@@ -108,12 +108,12 @@ void FlightRecorder::Record(const RequestRecord& rec) {
   total_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void FlightRecorder::RetainTrace(uint64_t id, std::string trace_json) {
+void FlightRecorder::RetainTrace(uint64_t id, common::JsonValue trace) {
   std::lock_guard<std::mutex> lock(trace_mu_);
   if (traces_.size() < kSampledTraceCapacity) {
-    traces_.push_back(SampledTrace{id, std::move(trace_json)});
+    traces_.push_back(SampledTrace{id, std::move(trace)});
   } else {
-    traces_[trace_head_] = SampledTrace{id, std::move(trace_json)};
+    traces_[trace_head_] = SampledTrace{id, std::move(trace)};
     trace_head_ = (trace_head_ + 1) % kSampledTraceCapacity;
   }
 }
@@ -177,36 +177,25 @@ void FlightRecorder::Reset() {
   trace_head_ = 0;
 }
 
-std::string FlightRecorder::Json(size_t max_records) const {
+common::JsonValue FlightRecorder::Json(size_t max_records) const {
   using common::JsonValue;
-  const std::vector<RequestRecord> records = SnapshotRecords(max_records);
-  const std::vector<SampledTrace> traces = SnapshotTraces();
+  JsonValue records = JsonValue::Array();
+  for (const RequestRecord& rec : SnapshotRecords(max_records)) {
+    records.Append(rec.Json());
+  }
+  JsonValue traces = JsonValue::Array();
+  for (SampledTrace& t : SnapshotTraces()) {
+    JsonValue entry = JsonValue::Object();
+    entry.Set("id", JsonValue::Number(static_cast<double>(t.id)));
+    entry.Set("trace", std::move(t.trace));
+    traces.Append(std::move(entry));
+  }
   JsonValue doc = JsonValue::Object();
   doc.Set("total_recorded",
           JsonValue::Number(static_cast<double>(TotalRecorded())));
-  JsonValue record_array = JsonValue::Array();
-  for (const RequestRecord& rec : records) {
-    auto parsed = JsonValue::Parse(rec.Json());
-    record_array.Append(parsed.ok() ? std::move(parsed).value()
-                                    : JsonValue::Null());
-  }
-  doc.Set("records", std::move(record_array));
-  JsonValue trace_array = JsonValue::Array();
-  for (const SampledTrace& t : traces) {
-    JsonValue entry = JsonValue::Object();
-    entry.Set("id", JsonValue::Number(static_cast<double>(t.id)));
-    // trace_json is an already-rendered JSON object; a malformed or empty
-    // one degrades to null rather than corrupting the dump.
-    JsonValue trace = JsonValue::Null();
-    if (!t.trace_json.empty()) {
-      auto parsed = JsonValue::Parse(t.trace_json);
-      if (parsed.ok()) trace = std::move(parsed).value();
-    }
-    entry.Set("trace", std::move(trace));
-    trace_array.Append(std::move(entry));
-  }
-  doc.Set("sampled_traces", std::move(trace_array));
-  return doc.Dump();
+  doc.Set("records", std::move(records));
+  doc.Set("sampled_traces", std::move(traces));
+  return doc;
 }
 
 }  // namespace toss::obs

@@ -12,9 +12,9 @@
 // is detected by the seqlock and the slot is simply skipped.
 //
 // Alongside the compact records, a small mutex-guarded side ring retains
-// fully rendered obs::Trace JSON for a 1-in-N sample of requests (and for
-// every slow/failed request when the slow-query log is enabled), so "what
-// was this request doing" is answerable after the fact without re-running.
+// the obs::Trace JSON tree for a 1-in-N sample of requests (slow and
+// failed requests carry theirs in the slow-query log), so "what was this
+// request doing" is answerable after the fact without re-running.
 
 #ifndef TOSS_OBS_FLIGHT_RECORDER_H_
 #define TOSS_OBS_FLIGHT_RECORDER_H_
@@ -25,6 +25,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "common/json.h"
 
 namespace toss::obs {
 
@@ -71,18 +73,18 @@ struct RequestRecord {
 
   bool HasFlag(uint8_t f) const { return (flags & f) != 0; }
 
-  /// The record as one compact JSON object (numeric status code; op and
-  /// engine as short strings).
-  std::string Json() const;
+  /// The record as one JSON object (numeric status code; op and engine as
+  /// short strings).
+  common::JsonValue Json() const;
 };
 static_assert(sizeof(RequestRecord) == 48, "ring slots assume 6 words");
 static_assert(std::is_trivially_copyable_v<RequestRecord>,
               "records are copied through atomic words");
 
-/// A retained trace: the request's id plus its rendered obs::Trace JSON.
+/// A retained trace: the request's id plus its obs::Trace JSON tree.
 struct SampledTrace {
   uint64_t id = 0;
-  std::string trace_json;
+  common::JsonValue trace;
 };
 
 /// The recorder. Writers are wait-free except under a pathological slot
@@ -110,8 +112,8 @@ class FlightRecorder {
   /// in the writer's shard once the ring wraps.
   void Record(const RequestRecord& rec);
 
-  /// Retains a rendered trace for request `id`, evicting the oldest.
-  void RetainTrace(uint64_t id, std::string trace_json);
+  /// Retains the trace tree of request `id`, evicting the oldest.
+  void RetainTrace(uint64_t id, common::JsonValue trace);
 
   /// The newest consistent records across all shards, ascending by id, at
   /// most `max_records` of them. Lock-free with respect to writers.
@@ -131,7 +133,7 @@ class FlightRecorder {
 
   /// {"records":[...],"sampled_traces":[{"id":..,"trace":{...}},...]} with
   /// records ascending by id, capped at `max_records`.
-  std::string Json(size_t max_records = 128) const;
+  common::JsonValue Json(size_t max_records = 128) const;
 
  private:
   // One seqlock-protected record. seq even = stable, odd = write in

@@ -167,78 +167,33 @@ MetricsRegistry::Snapshot MetricsRegistry::GetSnapshot() const {
   return out;
 }
 
-namespace {
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
-}  // namespace
-
-std::string MetricsRegistry::SnapshotJson() const {
+common::JsonValue MetricsRegistry::SnapshotJson() const {
+  using common::JsonValue;
   const Snapshot snap = GetSnapshot();
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : snap.counters) {
-    if (!first) out += ",";
-    first = false;
-    AppendJsonString(&out, name);
-    out += ":";
-    out += std::to_string(v);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : snap.gauges) {
-    if (!first) out += ",";
-    first = false;
-    AppendJsonString(&out, name);
-    out += ":";
-    out += std::to_string(v);
-  }
-  out += "},\"histograms\":{";
-  first = true;
+  const auto num = [](auto v) {
+    return JsonValue::Number(static_cast<double>(v));
+  };
+  JsonValue counters = JsonValue::Object();
+  for (const auto& [name, v] : snap.counters) counters.Set(name, num(v));
+  JsonValue gauges = JsonValue::Object();
+  for (const auto& [name, v] : snap.gauges) gauges.Set(name, num(v));
+  JsonValue histograms = JsonValue::Object();
   for (const auto& [name, h] : snap.histograms) {
-    if (!first) out += ",";
-    first = false;
-    AppendJsonString(&out, name);
-    out += ":{\"count\":" + std::to_string(h.count) +
-           ",\"sum_ns\":" + std::to_string(h.sum_nanos) +
-           ",\"mean_ms\":" + FormatDouble(h.MeanMillis()) +
-           ",\"p50_ms\":" + FormatDouble(h.QuantileUpperBoundMillis(0.5)) +
-           ",\"p99_ms\":" + FormatDouble(h.QuantileUpperBoundMillis(0.99)) +
-           ",\"buckets\":[";
-    for (size_t b = 0; b < Histogram::kBuckets; ++b) {
-      if (b != 0) out += ",";
-      out += std::to_string(h.counts[b]);
-    }
-    out += "]}";
+    JsonValue entry = JsonValue::Object();
+    entry.Set("count", num(h.count));
+    entry.Set("sum_ns", num(h.sum_nanos));
+    entry.Set("mean_ms", num(h.MeanMillis()));
+    entry.Set("p50_ms", num(h.QuantileUpperBoundMillis(0.5)));
+    entry.Set("p99_ms", num(h.QuantileUpperBoundMillis(0.99)));
+    JsonValue buckets = JsonValue::Array();
+    for (uint64_t c : h.counts) buckets.Append(num(c));
+    entry.Set("buckets", std::move(buckets));
+    histograms.Set(name, std::move(entry));
   }
-  out += "}}";
+  JsonValue out = JsonValue::Object();
+  out.Set("counters", std::move(counters));
+  out.Set("gauges", std::move(gauges));
+  out.Set("histograms", std::move(histograms));
   return out;
 }
 

@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 namespace toss::obs {
 
 namespace internal {
@@ -167,7 +169,7 @@ class MetricsRegistry {
   ///                          "buckets":[c0,...,c27]}}}
   /// The raw bucket counts let external tools (tools/tosstop.py) subtract
   /// two successive dumps and interpolate interval percentiles.
-  std::string SnapshotJson() const;
+  common::JsonValue SnapshotJson() const;
 
   /// Escape hatch for tests/benches/debugging: human-readable dump, one
   /// instrument per line, sorted by name.

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/json.h"
 #include "obs/metrics.h"
 
 namespace toss::obs {
@@ -17,24 +16,14 @@ bool SlowQueryLog::ShouldLog(const RequestRecord& record) const {
 
 void SlowQueryLog::Log(const RequestRecord& record,
                        const std::string& status_text,
-                       const std::string& trace_json) {
+                       const common::JsonValue& trace) {
   static Counter& written = Metrics().GetCounter("obs.slow_log.written");
   static Counter& dropped = Metrics().GetCounter("obs.slow_log.dropped");
 
-  // Sub-documents (record, trace) are already rendered JSON; parse them back
-  // into the tree so the whole line is emitted through one writer and
-  // round-trips by construction. A malformed trace degrades to null.
   common::JsonValue doc = common::JsonValue::Object();
-  auto record_json = common::JsonValue::Parse(record.Json());
-  doc.Set("record", record_json.ok() ? std::move(record_json).value()
-                                     : common::JsonValue::Null());
+  doc.Set("record", record.Json());
   doc.Set("status", common::JsonValue::String(status_text));
-  common::JsonValue trace = common::JsonValue::Null();
-  if (!trace_json.empty()) {
-    auto parsed = common::JsonValue::Parse(trace_json);
-    if (parsed.ok()) trace = std::move(parsed).value();
-  }
-  doc.Set("trace", std::move(trace));
+  doc.Set("trace", trace);
   const std::string line = doc.Dump();
 
   std::lock_guard<std::mutex> lock(mu_);

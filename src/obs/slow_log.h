@@ -51,10 +51,10 @@ class SlowQueryLog {
   /// Renders and writes one JSONL line:
   ///   {"record":{...},"status":"<status_text>","trace":{...}|null}
   /// `status_text` is the human status string (rendered by the caller, which
-  /// can see common::Status); `trace_json` is an already-rendered
-  /// obs::Trace JSON object, or empty for none.
+  /// can see common::Status); `trace` is the obs::Trace JSON tree, or null
+  /// for none.
   void Log(const RequestRecord& record, const std::string& status_text,
-           const std::string& trace_json);
+           const common::JsonValue& trace);
 
   Stats GetStats() const;
 

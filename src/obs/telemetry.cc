@@ -62,21 +62,13 @@ void Telemetry::StopTicker() { series_.Stop(); }
 std::string Telemetry::DumpJson(size_t max_windows,
                                 size_t max_records) const {
   using common::JsonValue;
-  // Sub-documents arrive as rendered JSON strings; parsing them back into the
-  // tree before dumping guarantees the stitched document is itself valid (a
-  // malformed sub-document degrades to null instead of corrupting the dump).
-  const auto embed = [](const std::string& rendered) {
-    auto parsed = JsonValue::Parse(rendered);
-    return parsed.ok() ? std::move(parsed).value() : JsonValue::Null();
-  };
   JsonValue doc = JsonValue::Object();
   doc.Set("ts_unix_ms",
           JsonValue::Number(static_cast<double>(NowUnixMillis())));
   doc.Set("build", BuildInfoJson());
-  doc.Set("metrics", embed(MetricsRegistry::Global().SnapshotJson()));
-  doc.Set("timeseries", embed(series_.Json(max_windows)));
-  doc.Set("flight_recorder",
-          embed(FlightRecorder::Global().Json(max_records)));
+  doc.Set("metrics", MetricsRegistry::Global().SnapshotJson());
+  doc.Set("timeseries", series_.Json(max_windows));
+  doc.Set("flight_recorder", FlightRecorder::Global().Json(max_records));
   return doc.Dump();
 }
 

@@ -1,10 +1,10 @@
 // Telemetry facade: one JSON document that answers "what is this process
 // doing and what has it just done" (DESIGN.md §15).
 //
-// TelemetryDump() stitches together the cumulative metrics snapshot, the
-// windowed time-series, and the flight recorder's recent records + sampled
-// traces, plus static build info, into a single self-describing JSON
-// object. It is what the bench harness writes at exit (TOSS_TELEMETRY_DUMP),
+// TelemetryDump() assembles the JSON trees of the cumulative metrics
+// snapshot, the windowed time-series, and the flight recorder's recent
+// records + sampled traces, plus static build info, into a single
+// self-describing JSON object and renders it once. It is what the bench harness writes at exit (TOSS_TELEMETRY_DUMP),
 // what tools/tosstop.py diffs to render live rates, and what the
 // fatal-signal crash handler spills as a last act.
 //

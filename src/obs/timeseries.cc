@@ -1,7 +1,6 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace toss::obs {
 
@@ -14,21 +13,6 @@ uint64_t NowUnixMillis() {
           .count());
 }
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
-void AppendJsonKey(std::string* out, const std::string& name) {
-  out->push_back('"');
-  for (char c : name) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  *out += "\":";
-}
-
 }  // namespace
 
 double TimeSeries::Window::RatePerSecond(const std::string& counter) const {
@@ -38,45 +22,39 @@ double TimeSeries::Window::RatePerSecond(const std::string& counter) const {
          static_cast<double>(duration_ms);
 }
 
-std::string TimeSeries::Window::Json() const {
-  std::string out = "{\"seq\":" + std::to_string(seq) +
-                    ",\"start_unix_ms\":" + std::to_string(start_unix_ms) +
-                    ",\"duration_ms\":" + std::to_string(duration_ms) +
-                    ",\"counters\":{";
-  bool first = true;
+common::JsonValue TimeSeries::Window::Json() const {
+  using common::JsonValue;
+  const auto num = [](auto v) {
+    return JsonValue::Number(static_cast<double>(v));
+  };
+  JsonValue counters = JsonValue::Object();
   for (const auto& [name, delta] : counter_deltas) {
-    if (!first) out += ",";
-    first = false;
-    AppendJsonKey(&out, name);
-    out += "{\"delta\":" + std::to_string(delta) +
-           ",\"rate_per_s\":" + FormatDouble(RatePerSecond(name)) + "}";
+    JsonValue entry = JsonValue::Object();
+    entry.Set("delta", num(delta));
+    entry.Set("rate_per_s", num(RatePerSecond(name)));
+    counters.Set(name, std::move(entry));
   }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    if (!first) out += ",";
-    first = false;
-    AppendJsonKey(&out, name);
-    out += std::to_string(v);
-  }
-  out += "},\"histograms\":{";
-  first = true;
+  JsonValue gauge_values = JsonValue::Object();
+  for (const auto& [name, v] : gauges) gauge_values.Set(name, num(v));
+  JsonValue histograms = JsonValue::Object();
   for (const auto& [name, h] : histogram_deltas) {
-    if (!first) out += ",";
-    first = false;
-    AppendJsonKey(&out, name);
-    out += "{\"count\":" + std::to_string(h.count) +
-           ",\"mean_ms\":" + FormatDouble(h.MeanMillis()) +
-           ",\"p50_ms\":" + FormatDouble(h.PercentileMillis(0.5)) +
-           ",\"p99_ms\":" + FormatDouble(h.PercentileMillis(0.99)) +
-           ",\"buckets\":[";
-    for (size_t b = 0; b < Histogram::kBuckets; ++b) {
-      if (b != 0) out += ",";
-      out += std::to_string(h.counts[b]);
-    }
-    out += "]}";
+    JsonValue entry = JsonValue::Object();
+    entry.Set("count", num(h.count));
+    entry.Set("mean_ms", num(h.MeanMillis()));
+    entry.Set("p50_ms", num(h.PercentileMillis(0.5)));
+    entry.Set("p99_ms", num(h.PercentileMillis(0.99)));
+    JsonValue buckets = JsonValue::Array();
+    for (uint64_t c : h.counts) buckets.Append(num(c));
+    entry.Set("buckets", std::move(buckets));
+    histograms.Set(name, std::move(entry));
   }
-  out += "}}";
+  JsonValue out = JsonValue::Object();
+  out.Set("seq", num(seq));
+  out.Set("start_unix_ms", num(start_unix_ms));
+  out.Set("duration_ms", num(duration_ms));
+  out.Set("counters", std::move(counters));
+  out.Set("gauges", std::move(gauge_values));
+  out.Set("histograms", std::move(histograms));
   return out;
 }
 
@@ -182,21 +160,19 @@ double TimeSeries::WindowedPercentileMillis(const std::string& histogram,
   return merged.PercentileMillis(q);
 }
 
-std::string TimeSeries::Json(size_t max_windows) const {
-  const std::vector<Window> windows = GetWindows(max_windows);
+common::JsonValue TimeSeries::Json(size_t max_windows) const {
+  using common::JsonValue;
   std::chrono::milliseconds interval;
   {
     std::lock_guard<std::mutex> lock(ticker_mu_);
     interval = interval_;
   }
-  std::string out =
-      "{\"interval_ms\":" + std::to_string(interval.count()) +
-      ",\"windows\":[";
-  for (size_t i = 0; i < windows.size(); ++i) {
-    if (i != 0) out += ",";
-    out += windows[i].Json();
-  }
-  out += "]}";
+  JsonValue windows = JsonValue::Array();
+  for (const Window& w : GetWindows(max_windows)) windows.Append(w.Json());
+  JsonValue out = JsonValue::Object();
+  out.Set("interval_ms",
+          JsonValue::Number(static_cast<double>(interval.count())));
+  out.Set("windows", std::move(windows));
   return out;
 }
 

@@ -55,7 +55,7 @@ class TimeSeries {
     ///  "histograms":{"name":{"count":..,"mean_ms":..,"p50_ms":..,
     ///                        "p99_ms":..,"buckets":[...]}}}
     /// Percentiles are interpolated over the interval's deltas.
-    std::string Json() const;
+    common::JsonValue Json() const;
   };
 
   explicit TimeSeries(MetricsRegistry* registry = &MetricsRegistry::Global(),
@@ -89,7 +89,7 @@ class TimeSeries {
 
   /// {"interval_ms":..,"windows":[...oldest first...]} capped at
   /// `max_windows` newest.
-  std::string Json(size_t max_windows = SIZE_MAX) const;
+  common::JsonValue Json(size_t max_windows = SIZE_MAX) const;
 
   /// Drops all windows and the baseline. For tests.
   void Reset();

@@ -14,51 +14,22 @@ uint64_t MonotonicNanos() {
           .count());
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void NodeJson(const TraceNode& n, std::string* out) {
-  *out += "{\"name\":";
-  AppendJsonString(out, n.name);
-  *out += ",\"start_ns\":" + std::to_string(n.start_nanos) +
-          ",\"duration_ns\":" + std::to_string(n.duration_nanos) +
-          ",\"annotations\":{";
-  bool first = true;
+common::JsonValue NodeJson(const TraceNode& n) {
+  using common::JsonValue;
+  JsonValue out = JsonValue::Object();
+  out.Set("name", JsonValue::String(n.name));
+  out.Set("start_ns", JsonValue::Number(static_cast<double>(n.start_nanos)));
+  out.Set("duration_ns",
+          JsonValue::Number(static_cast<double>(n.duration_nanos)));
+  JsonValue annotations = JsonValue::Object();
   for (const auto& [k, v] : n.annotations) {
-    if (!first) *out += ",";
-    first = false;
-    AppendJsonString(out, k);
-    *out += ":";
-    AppendJsonString(out, v);
+    annotations.Set(k, JsonValue::String(v));
   }
-  *out += "},\"children\":[";
-  first = true;
-  for (const auto& child : n.children) {
-    if (!first) *out += ",";
-    first = false;
-    NodeJson(*child, out);
-  }
-  *out += "]}";
+  out.Set("annotations", std::move(annotations));
+  JsonValue children = JsonValue::Array();
+  for (const auto& child : n.children) children.Append(NodeJson(*child));
+  out.Set("children", std::move(children));
+  return out;
 }
 
 void NodePretty(const TraceNode& n, int depth, std::string* out) {
@@ -98,11 +69,7 @@ double Trace::CoverageFraction() const {
          static_cast<double>(root_.duration_nanos);
 }
 
-std::string Trace::Json() const {
-  std::string out;
-  NodeJson(root_, &out);
-  return out;
-}
+common::JsonValue Trace::Json() const { return NodeJson(root_); }
 
 std::string Trace::Pretty() const {
   std::string out;

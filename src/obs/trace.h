@@ -24,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
+
 namespace toss::obs {
 
 /// One timed node of a trace tree.
@@ -63,7 +65,7 @@ class Trace {
   /// The tree as nested JSON:
   ///   {"name":..,"start_ns":..,"duration_ns":..,
   ///    "annotations":{..},"children":[..]}
-  std::string Json() const;
+  common::JsonValue Json() const;
 
   /// Indented human-readable rendering (EXPLAIN ANALYZE output).
   std::string Pretty() const;

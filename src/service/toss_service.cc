@@ -258,20 +258,16 @@ QueryResponse TossService::Run(const QueryRequest& request) {
       rec.flags |= obs::RequestRecord::kPreparedCacheHit;
     }
     if (request.IsMutation()) rec.flags |= obs::RequestRecord::kMutation;
-    std::string trace_json;
-    if (resp.trace != nullptr) trace_json = resp.trace->Json();
-    if (sample_trace && !trace_json.empty()) {
-      rec.flags |= obs::RequestRecord::kTraceSampled;
-    }
-    if (recorder != nullptr) {
-      recorder->Record(rec);
-      if (rec.HasFlag(obs::RequestRecord::kTraceSampled)) {
-        recorder->RetainTrace(rec.id, trace_json);
-      }
-    }
-    if (options_.slow_log != nullptr && options_.slow_log->ShouldLog(rec)) {
-      options_.slow_log->Log(rec, resp.status.ToString(), trace_json);
-    }
+    const bool retain = sample_trace && resp.trace != nullptr;
+    if (retain) rec.flags |= obs::RequestRecord::kTraceSampled;
+    const bool slow =
+        options_.slow_log != nullptr && options_.slow_log->ShouldLog(rec);
+    // Only a trace something keeps is turned into a JSON tree.
+    common::JsonValue trace;
+    if (resp.trace != nullptr && (retain || slow)) trace = resp.trace->Json();
+    if (recorder != nullptr) recorder->Record(rec);
+    if (slow) options_.slow_log->Log(rec, resp.status.ToString(), trace);
+    if (retain) recorder->RetainTrace(rec.id, std::move(trace));
     // Traces collected only for telemetry stay out of the response.
     if (!request.collect_trace) resp.trace.reset();
   };

@@ -437,12 +437,8 @@ JsonValue ResponseToJson(const QueryResponse& response) {
   out.Set("queue_wait_ms", JsonValue::Number(response.queue_wait_ms));
   out.Set("prepared_cache_hit", JsonValue::Bool(response.prepared_cache_hit));
 
-  JsonValue trace = JsonValue::Null();
-  if (response.trace != nullptr) {
-    auto parsed = JsonValue::Parse(response.trace->Json());
-    if (parsed.ok()) trace = std::move(parsed).value();
-  }
-  out.Set("trace", std::move(trace));
+  out.Set("trace", response.trace != nullptr ? response.trace->Json()
+                                              : JsonValue::Null());
   return out;
 }
 

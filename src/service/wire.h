@@ -3,8 +3,8 @@
 // protocol").
 //
 // Everything that crosses a process boundary -- the HTTP server in
-// src/net/, the load generator in bench/net_throughput.cc, external
-// clients -- speaks these documents; in-process callers keep using the
+// src/net/, the load generator in perfbench/, external clients -- speaks
+// these documents; in-process callers keep using the
 // structs directly. One wire version covers one shape of the protocol:
 // /v1 documents carry `"version": 1` (optional on requests, always present
 // on responses), and incompatible shape changes bump kWireVersion and the

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "common/interner.h"
@@ -102,11 +101,11 @@ Result<Database> LoadGeneration(const std::string& dir,
   TOSS_ASSIGN_OR_RETURN(SnapshotManifest manifest,
                         ParseManifest(manifest_text));
   if (wal_out != nullptr) *wal_out = manifest.wal;
-  // Pre-intern the persisted term dictionary (if the generation carries
-  // one) before any document decodes, so indexing below is all dictionary
-  // hits. A corrupt table rejects the generation like a corrupt document.
-  if (manifest.symbols.has_value()) {
-    const ManifestSymbols& sym = *manifest.symbols;
+  // Pre-intern the persisted term dictionary before any document decodes,
+  // so indexing below is all dictionary hits. A corrupt table rejects the
+  // generation like a corrupt document.
+  {
+    const ManifestSymbols& sym = manifest.symbols;
     std::string path = PathJoin(gdir, sym.file);
     TOSS_ASSIGN_OR_RETURN(std::string payload, env->ReadFile(path));
     if (payload.size() != sym.bytes) {
@@ -143,38 +142,6 @@ Result<Database> LoadGeneration(const std::string& dir,
       }
       TOSS_ASSIGN_OR_RETURN(DocId id, coll->InsertXml(md.key, payload));
       (void)id;
-    }
-  }
-  return db;
-}
-
-/// Reads a directory written by the pre-generational format:
-///   <dir>/manifest.txt, <dir>/<collection>/{_keys.txt,000000.xml,...}
-/// No checksums existed in that format, so corruption surfaces as read or
-/// parse errors. A one-time Save migrates the data forward.
-Result<Database> LoadLegacy(const std::string& dir, Env* env) {
-  TOSS_ASSIGN_OR_RETURN(
-      std::string manifest,
-      env->ReadFile(PathJoin(dir, kLegacyManifestFileName)));
-  Database db;
-  std::istringstream names(manifest);
-  std::string name;
-  while (std::getline(names, name)) {
-    if (name.empty()) continue;
-    TOSS_ASSIGN_OR_RETURN(Collection * coll, db.CreateCollection(name));
-    std::string cdir = PathJoin(dir, name);
-    TOSS_ASSIGN_OR_RETURN(std::string keys,
-                          env->ReadFile(PathJoin(cdir, "_keys.txt")));
-    std::istringstream key_stream(keys);
-    std::string key;
-    size_t ordinal = 0;
-    while (std::getline(key_stream, key)) {
-      if (key.empty()) continue;
-      TOSS_ASSIGN_OR_RETURN(std::string text,
-                            env->ReadFile(PathJoin(cdir, DocFileName(ordinal))));
-      TOSS_ASSIGN_OR_RETURN(DocId id, coll->InsertXml(key, text));
-      (void)id;
-      ++ordinal;
     }
   }
   return db;
@@ -367,8 +334,7 @@ Status Database::SaveImpl(const std::string& dir, Env* env,
     }
     std::vector<std::string> terms(term_set.begin(), term_set.end());
     const std::string payload = FormatSymbolsFile(terms);
-    ManifestSymbols sym;
-    sym.file = kSymbolsFileName;
+    ManifestSymbols& sym = manifest.symbols;
     sym.count = terms.size();
     sym.bytes = payload.size();
     sym.crc32 = Crc32(payload);
@@ -377,7 +343,6 @@ Status Database::SaveImpl(const std::string& dir, Env* env,
         Run([&] { return env->WriteFile(sym_path, payload); }));
     TOSS_RETURN_NOT_OK(Run([&] { return env->SyncFile(sym_path); }));
     write_span.Annotate("symbols_written", sym.count);
-    manifest.symbols = std::move(sym);
   }
   write_span.Annotate("docs_written", static_cast<uint64_t>(docs_written));
   write_span.End();
@@ -418,12 +383,10 @@ Status Database::SaveImpl(const std::string& dir, Env* env,
   // Post-commit cleanup is best-effort: the new generation is already
   // durable, so a failure (or crash) here merely leaves extra files for
   // the next Save to collect. Transient errors still get the retry/backoff
-  // treatment; hard errors are swallowed. The legacy manifest.txt is removed
-  // so Open can never fall back to a stale pre-generational snapshot.
+  // treatment; hard errors are swallowed.
   for (const std::string& entry : cleanup_after_commit) {
     (void)Run([&] { return env->RemoveAll(PathJoin(dir, entry)); });
   }
-  (void)Run([&] { return env->RemoveFile(PathJoin(dir, kLegacyManifestFileName)); });
   cleanup_span.End();
   m.save_ns.Record(static_cast<uint64_t>(save_timer.ElapsedNanos()));
   return Status::OK();
@@ -529,17 +492,6 @@ Result<Database> Database::Open(const std::string& dir, Env* env,
     rep.discarded.push_back({gen, db.status().ToString()});
   }
 
-  // No generations at all: this may be a pre-generational directory.
-  if (generations.empty() && current.empty() &&
-      env->FileExists(PathJoin(dir, kLegacyManifestFileName))) {
-    auto db = LoadLegacy(dir, env);
-    if (db.ok()) {
-      rep.loaded_generation = "legacy";
-      rep.used_legacy_format = true;
-    }
-    return Finish(std::move(db));
-  }
-
   std::string detail;
   for (const auto& d : rep.discarded) {
     detail += "; " + d.generation + ": " + d.reason;
@@ -582,15 +534,14 @@ Result<Database> Database::OpenDurable(const std::string& dir, Env* env,
   } else {
     if (!options.create_if_missing) return opened.status();
     // Bootstrap an empty database -- but only over a directory with no
-    // snapshot-shaped content at all. Generations, a CURRENT pointer, a
-    // legacy manifest, or stray wal segments mean data existed and failed
-    // to load; clobbering it with an empty checkpoint would destroy it.
+    // snapshot-shaped content at all. Generations, a CURRENT pointer, or
+    // stray wal segments mean data existed and failed to load; clobbering it with an empty checkpoint would destroy it.
     bool pristine = true;
     auto listing = env->ListDir(dir);
     if (listing.ok()) {
       for (const std::string& entry : *listing) {
         if (ParseGenerationDirName(entry) || ParseWalFileName(entry) ||
-            entry == kCurrentFileName || entry == kLegacyManifestFileName) {
+            entry == kCurrentFileName) {
           pristine = false;
           break;
         }
@@ -625,9 +576,8 @@ Result<Database> Database::OpenDurable(const std::string& dir, Env* env,
     db.durable_->writer =
         std::make_unique<WalWriter>(env, path, rw.next_seq, options.wal);
   } else {
-    // Plain-Save generation, legacy directory, or fresh bootstrap: no log
-    // exists yet. Checkpoint once to commit a generation that declares
-    // one.
+    // Plain-Save generation or fresh bootstrap: no log exists yet.
+    // Checkpoint once to commit a generation that declares one.
     TOSS_RETURN_NOT_OK(db.Checkpoint());
   }
   return db;

@@ -12,9 +12,7 @@
 // commit, so a crash or injected I/O failure at ANY point leaves either
 // the old or the new state recoverable -- never a torn hybrid. Open
 // verifies every checksum and degrades to the newest intact generation,
-// reporting what it discarded through RecoveryReport. Directories written
-// by the pre-generational format (manifest.txt + <collection>/_keys.txt)
-// remain readable through a legacy fallback path.
+// reporting what it discarded through RecoveryReport.
 
 #ifndef TOSS_STORE_DATABASE_H_
 #define TOSS_STORE_DATABASE_H_
@@ -35,12 +33,10 @@
 namespace toss::store {
 
 /// What Open had to discard or work around to produce a database. Empty
-/// (no discards, no legacy) after a clean load of a committed generation.
+/// (no discards) after a clean load of a committed generation.
 struct RecoveryReport {
-  /// Generation that was loaded ("gen-<N>", or "legacy").
+  /// Generation that was loaded ("gen-<N>").
   std::string loaded_generation;
-  /// True when the pre-generational manifest.txt format was read.
-  bool used_legacy_format = false;
 
   struct Discarded {
     std::string generation;  ///< "gen-<N>", or "CURRENT" for a bad pointer
@@ -61,9 +57,8 @@ struct RecoveryReport {
   };
   std::optional<WalReplay> wal;
 
-  /// True when recovery fell back past the committed generation or read
-  /// the legacy format.
-  bool degraded() const { return !discarded.empty() || used_legacy_format; }
+  /// True when recovery fell back past the committed generation.
+  bool degraded() const { return !discarded.empty(); }
 };
 
 class Database {

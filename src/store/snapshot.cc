@@ -165,11 +165,11 @@ Result<std::vector<std::string>> ParseSymbolsFile(std::string_view text,
 std::string SnapshotManifest::Format() const {
   std::string out = "toss-snapshot " +
                     std::to_string(kSnapshotFormatVersion) + "\n";
-  if (symbols.has_value()) {
+  {
     char crc[16];
-    std::snprintf(crc, sizeof(crc), "%08x", symbols->crc32);
-    out += "symbols " + symbols->file + " " + std::to_string(symbols->count) +
-           " " + std::to_string(symbols->bytes) + " " + crc + "\n";
+    std::snprintf(crc, sizeof(crc), "%08x", symbols.crc32);
+    out += "symbols " + symbols.file + " " + std::to_string(symbols.count) +
+           " " + std::to_string(symbols.bytes) + " " + crc + "\n";
   }
   if (wal.has_value()) {
     out += "wal " + wal->file + " " + std::to_string(wal->start_seq) + "\n";
@@ -194,6 +194,7 @@ Result<SnapshotManifest> ParseManifest(std::string_view text) {
   size_t pos = 0;
   size_t line_no = 0;
   bool saw_header = false;
+  bool saw_symbols = false;
   bool saw_end = false;
   uint64_t docs_expected = 0;
 
@@ -243,7 +244,7 @@ Result<SnapshotManifest> ParseManifest(std::string_view text) {
     if (StartsWith(line, "symbols ")) {
       // symbols <file> <count> <bytes> <crc32-hex>; header-adjacent: it
       // describes the whole generation, so it precedes every collection.
-      if (manifest.symbols.has_value()) {
+      if (saw_symbols) {
         return Status::ParseError("manifest has duplicate symbols line");
       }
       if (!manifest.collections.empty()) {
@@ -292,6 +293,7 @@ Result<SnapshotManifest> ParseManifest(std::string_view text) {
       }
       sym.crc32 = crc_value;
       manifest.symbols = std::move(sym);
+      saw_symbols = true;
       continue;
     }
     if (StartsWith(line, "wal ")) {
@@ -411,6 +413,9 @@ Result<SnapshotManifest> ParseManifest(std::string_view text) {
   }
   if (!saw_end) {
     return Status::ParseError("manifest truncated: missing end-snapshot");
+  }
+  if (!saw_symbols) {
+    return Status::ParseError("manifest is missing its symbols line");
   }
   return manifest;
 }

@@ -15,7 +15,7 @@
 // newlines, '%', and control bytes round-trip):
 //
 //   toss-snapshot 1
-//   symbols <file> <count> <bytes> <crc32-hex>   (optional, at most one)
+//   symbols <file> <count> <bytes> <crc32-hex>   (exactly one)
 //   wal <file> <start-seq>                       (optional, at most one)
 //   collection <subdir> <ndocs> <escaped-name>
 //   doc <file> <bytes> <crc32-hex> <escaped-key>
@@ -27,16 +27,14 @@
 // sibling of the generation directories), and Open replays it over the
 // loaded generation. <start-seq> is the sequence number the log's first
 // record must carry; an absent file is an empty log. Generations written
-// by a plain Save (or the legacy format) have no wal line and replay
-// nothing.
+// by a plain Save have no wal line and replay nothing.
 //
 // The symbols line names a sidecar term-dictionary file (<count> %-escaped
 // terms, one per line) holding every tag/content term of the snapshot's
 // documents; Open pre-interns them so id-based evaluation starts warm (see
-// DESIGN.md "Term dictionary & id-based evaluation"). The section is
-// optional: manifests written before it existed load fine and intern
-// lazily as documents decode. When present it is verified like a document
-// payload -- byte count and CRC32 -- and a corrupt table rejects the whole
+// DESIGN.md "Term dictionary & id-based evaluation"). The line is
+// required, and the table is verified like a document payload -- byte
+// count and CRC32. A missing line or a corrupt table rejects the whole
 // generation (Open degrades to the next intact one).
 //
 // Collection subdirectories and document filenames are ordinals, never
@@ -61,7 +59,6 @@ namespace toss::store {
 inline constexpr char kCurrentFileName[] = "CURRENT";
 inline constexpr char kManifestFileName[] = "MANIFEST";
 inline constexpr char kSymbolsFileName[] = "SYMBOLS";
-inline constexpr char kLegacyManifestFileName[] = "manifest.txt";
 inline constexpr int kSnapshotFormatVersion = 1;
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`.
@@ -100,7 +97,7 @@ struct ManifestCollection {
 
 /// Descriptor of the generation's term-dictionary sidecar file.
 struct ManifestSymbols {
-  std::string file;    ///< filename inside the generation dir
+  std::string file = kSymbolsFileName;  ///< filename inside the generation dir
   uint64_t count = 0;  ///< number of term lines in the file
   uint64_t bytes = 0;
   uint32_t crc32 = 0;
@@ -113,7 +110,7 @@ struct ManifestWal {
 };
 
 struct SnapshotManifest {
-  std::optional<ManifestSymbols> symbols;
+  ManifestSymbols symbols;
   std::optional<ManifestWal> wal;
   std::vector<ManifestCollection> collections;
 

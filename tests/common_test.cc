@@ -431,6 +431,12 @@ TEST(JsonTest, RejectsMalformedInput) {
     EXPECT_FALSE(r.ok()) << "accepted: " << bad;
     if (!r.ok()) EXPECT_TRUE(r.status().IsParseError()) << bad;
   }
+  // RFC 8259: raw control bytes inside a string must be escaped.
+  for (const char* bad : {"\"a\nb\"", "\"tab\there\"", "{\"k\x01\":1}"}) {
+    auto r = JsonValue::Parse(bad);
+    ASSERT_FALSE(r.ok()) << "accepted raw control byte: " << bad;
+    EXPECT_TRUE(r.status().IsParseError()) << bad;
+  }
 }
 
 TEST(JsonTest, DepthBounded) {
@@ -446,7 +452,7 @@ TEST(JsonTest, RoundTripsMetricsSnapshotJson) {
   obs::MetricsRegistry reg;
   reg.GetCounter("a.count").Add(3);
   reg.GetHistogram("a.lat_ns").Record(1'000'000);
-  auto doc = common::JsonValue::Parse(reg.SnapshotJson());
+  auto doc = common::JsonValue::Parse(reg.SnapshotJson().Dump());
   ASSERT_TRUE(doc.ok()) << doc.status();
   EXPECT_DOUBLE_EQ(doc->Get("counters")->Get("a.count")->AsDouble(), 3.0);
   const common::JsonValue* h = doc->Get("histograms")->Get("a.lat_ns");

@@ -193,42 +193,31 @@ TEST_F(CorruptStoreTest, AllGenerationsCorruptIsIOErrorListingReasons) {
   EXPECT_NE(st.message().find("gen-1"), std::string::npos) << st;
 }
 
-TEST_F(CorruptStoreTest, LegacyFormatReadableAndMigratedBySave) {
-  // Hand-write a pre-generational directory (manifest.txt + _keys.txt).
-  fs::path legacy = fs::temp_directory_path() / "toss_failure_legacy";
-  fs::remove_all(legacy);
-  fs::create_directories(legacy / "dblp");
-  {
-    std::ofstream(legacy / "manifest.txt") << "dblp\n";
-    std::ofstream(legacy / "dblp" / "_keys.txt") << "k1\nk2\n";
-    std::ofstream(legacy / "dblp" / "000000.xml") << "<a><b>x</b></a>";
-    std::ofstream(legacy / "dblp" / "000001.xml") << "<c/>";
-  }
+TEST_F(CorruptStoreTest, ManifestWithoutSymbolsLineDegradesPastTheGeneration) {
+  // Save always writes the symbols line, so a MANIFEST without one is
+  // damaged: the generation is rejected and Open serves the older one.
+  fs::copy(dir_ / "gen-1", dir_ / "gen-2", fs::copy_options::recursive);
+  Overwrite(store::kCurrentFileName, "gen-2\n");
+  const fs::path manifest_path = fs::path("gen-2") / store::kManifestFileName;
+  std::string manifest = ReadBack(manifest_path);
+  const size_t sym_pos = manifest.find("\nsymbols ");
+  ASSERT_NE(sym_pos, std::string::npos) << manifest;
+  manifest.erase(sym_pos + 1, manifest.find('\n', sym_pos + 1) - sym_pos);
+  Overwrite(manifest_path, manifest);
+
   store::RecoveryReport report;
-  auto db = store::Database::Open(legacy.string(), store::Env::Default(),
+  auto db = store::Database::Open(dir_.string(), store::Env::Default(),
                                   &report);
   ASSERT_TRUE(db.ok()) << db.status();
-  EXPECT_TRUE(report.used_legacy_format);
-  EXPECT_EQ(report.loaded_generation, "legacy");
   auto coll = db->GetCollection("dblp");
   ASSERT_TRUE(coll.ok());
   EXPECT_EQ((*coll)->size(), 2u);
-  EXPECT_TRUE((*coll)->FindKey("k1").ok());
-
-  // One re-save migrates forward: checksummed generation, legacy pointer
-  // gone, and the reopened store no longer reports legacy.
-  ASSERT_TRUE(db->Save(legacy.string()).ok());
-  EXPECT_FALSE(fs::exists(legacy / "manifest.txt"));
-  store::RecoveryReport migrated;
-  auto db2 = store::Database::Open(legacy.string(), store::Env::Default(),
-                                   &migrated);
-  ASSERT_TRUE(db2.ok()) << db2.status();
-  EXPECT_FALSE(migrated.used_legacy_format);
-  EXPECT_EQ(migrated.loaded_generation, "gen-1");
-  auto coll2 = db2->GetCollection("dblp");
-  ASSERT_TRUE(coll2.ok());
-  EXPECT_EQ((*coll2)->size(), 2u);
-  fs::remove_all(legacy);
+  EXPECT_EQ(report.loaded_generation, "gen-1");
+  EXPECT_TRUE(report.degraded());
+  ASSERT_EQ(report.discarded.size(), 1u);
+  EXPECT_EQ(report.discarded[0].generation, "gen-2");
+  EXPECT_NE(report.discarded[0].reason.find("symbols"), std::string::npos)
+      << report.discarded[0].reason;
 }
 
 TEST_F(CorruptStoreTest, BulkLoadThroughFaultyEnvFailsCleanly) {

@@ -1,8 +1,8 @@
 // Tests for the process-wide term interner and the snapshot symbol table
 // built on it: hostile terms, id stability, concurrent readers against
 // appenders (the lock-free Text()/HasStar() contract; run under the tsan
-// preset in CI), the SYMBOLS sidecar round-trip, legacy (pre-symbols)
-// snapshot opening, and corrupt-table rejection.
+// preset in CI), the SYMBOLS sidecar round-trip, and corrupt-table
+// rejection.
 
 #include "common/interner.h"
 
@@ -206,14 +206,13 @@ TEST(SnapshotSymbolsTest, SaveWritesAChecksummedTableAndOpenAcceptsIt) {
       << manifest;
   auto parsed = store::ParseManifest(manifest);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ASSERT_TRUE(parsed->symbols.has_value());
 
   std::ifstream sf(gdir / store::kSymbolsFileName, std::ios::binary);
   std::string payload((std::istreambuf_iterator<char>(sf)),
                       std::istreambuf_iterator<char>());
-  EXPECT_EQ(payload.size(), parsed->symbols->bytes);
-  EXPECT_EQ(store::Crc32(payload), parsed->symbols->crc32);
-  auto terms = store::ParseSymbolsFile(payload, parsed->symbols->count);
+  EXPECT_EQ(payload.size(), parsed->symbols.bytes);
+  EXPECT_EQ(store::Crc32(payload), parsed->symbols.crc32);
+  auto terms = store::ParseSymbolsFile(payload, parsed->symbols.count);
   ASSERT_TRUE(terms.ok()) << terms.status();
   std::set<std::string> term_set(terms->begin(), terms->end());
   for (const char* expected :
@@ -227,42 +226,6 @@ TEST(SnapshotSymbolsTest, SaveWritesAChecksummedTableAndOpenAcceptsIt) {
   for (const std::string& t : *terms) {
     EXPECT_TRUE(Interner::Global().Find(t).has_value()) << t;
   }
-  fs::remove_all(dir);
-}
-
-TEST(SnapshotSymbolsTest, LegacyManifestWithoutSymbolsOpens) {
-  fs::path dir = fs::temp_directory_path() / "toss_interner_legacy";
-  fs::remove_all(dir);
-  store::Database db = MakeDb("LegacyLazyIntern");
-  ASSERT_TRUE(db.Save(dir.string()).ok());
-
-  // Rewrite the committed MANIFEST without its symbols line and drop the
-  // sidecar -- exactly what a pre-PR7 writer produced.
-  fs::path gdir = GenDir(dir);
-  std::ifstream mf(gdir / store::kManifestFileName);
-  std::string manifest((std::istreambuf_iterator<char>(mf)),
-                       std::istreambuf_iterator<char>());
-  mf.close();
-  const size_t sym_pos = manifest.find("symbols ");
-  ASSERT_NE(sym_pos, std::string::npos);
-  manifest.erase(sym_pos, manifest.find('\n', sym_pos) - sym_pos + 1);
-  {
-    std::ofstream out(gdir / store::kManifestFileName,
-                      std::ios::binary | std::ios::trunc);
-    out << manifest;
-  }
-  fs::remove(gdir / store::kSymbolsFileName);
-
-  auto reopened = store::Database::Open(dir.string());
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  auto coll = reopened->GetCollection("c");
-  ASSERT_TRUE(coll.ok());
-  EXPECT_EQ((*coll)->size(), 2u);
-  // Lazy interning: tags join the dictionary at load (document indexing);
-  // contents on the first tree decode.
-  EXPECT_TRUE(Interner::Global().Find("title").has_value());
-  for (store::DocId id : (*coll)->AllDocs()) (*coll)->DecodedTree(id);
-  EXPECT_TRUE(Interner::Global().Find("LegacyLazyIntern").has_value());
   fs::remove_all(dir);
 }
 

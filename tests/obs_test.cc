@@ -211,7 +211,7 @@ TEST(MetricsRegistryTest, SnapshotJsonShape) {
   reg.GetCounter("q.count").Add(2);
   reg.GetGauge("q.depth").Set(4);
   reg.GetHistogram("q.lat_ns").Record(500);
-  std::string json = reg.SnapshotJson();
+  std::string json = reg.SnapshotJson().Dump();
   EXPECT_NE(json.find("\"counters\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"q.count\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"gauges\""), std::string::npos) << json;
@@ -326,7 +326,7 @@ TEST(TraceTest, JsonAndPrettyRenderTheTree) {
     child.Annotate("candidate_docs", uint64_t{4});
     child.Annotate("note", "a \"quoted\" value");
   }
-  std::string json = trace.Json();
+  std::string json = trace.Json().Dump();
   EXPECT_NE(json.find("\"name\":\"select(dblp)\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"name\":\"store_scan\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"candidate_docs\":\"4\""), std::string::npos) << json;

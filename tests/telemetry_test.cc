@@ -55,6 +55,11 @@ using obs::TimeSeries;
 
 // --- RequestRecord ---------------------------------------------------------
 
+/// A JSON tree from literal text (test fixtures for traces).
+common::JsonValue Tree(const std::string& text) {
+  return *common::JsonValue::Parse(text);
+}
+
 RequestRecord MakeRecord(uint64_t id) {
   RequestRecord rec;
   rec.id = id;
@@ -77,8 +82,8 @@ TEST(RequestRecordTest, JsonIsParseableAndCarriesFields) {
   rec.engine = static_cast<uint8_t>(JoinEngine::kTwig);
   rec.flags = RequestRecord::kShed | RequestRecord::kTraceSampled;
 
-  auto doc = common::JsonValue::Parse(rec.Json());
-  ASSERT_TRUE(doc.ok()) << doc.status() << " in " << rec.Json();
+  auto doc = common::JsonValue::Parse(rec.Json().Dump());
+  ASSERT_TRUE(doc.ok()) << doc.status() << " in " << rec.Json().Dump();
   EXPECT_EQ(doc->Get("id")->AsDouble(), 42.0);
   EXPECT_EQ(doc->Get("op")->AsString(), "join");
   EXPECT_EQ(doc->Get("engine")->AsString(), "twig");
@@ -155,7 +160,7 @@ TEST(FlightRecorderTest, TraceRingEvictsOldest) {
   FlightRecorder rec;
   const size_t total = FlightRecorder::kSampledTraceCapacity + 5;
   for (size_t i = 1; i <= total; ++i) {
-    rec.RetainTrace(i, "{\"trace\":" + std::to_string(i) + "}");
+    rec.RetainTrace(i, Tree("{\"trace\":" + std::to_string(i) + "}"));
   }
   std::vector<obs::SampledTrace> traces = rec.SnapshotTraces();
   ASSERT_EQ(traces.size(), FlightRecorder::kSampledTraceCapacity);
@@ -169,7 +174,7 @@ TEST(FlightRecorderTest, TraceRingEvictsOldest) {
 TEST(FlightRecorderTest, ResetForgetsRecordsButNotIds) {
   FlightRecorder rec;
   rec.Record(MakeRecord(rec.MintId()));
-  rec.RetainTrace(1, "{}");
+  rec.RetainTrace(1, Tree("{}"));
   uint64_t last = rec.MintId();
   rec.Reset();
   EXPECT_TRUE(rec.SnapshotRecords().empty());
@@ -181,9 +186,9 @@ TEST(FlightRecorderTest, ResetForgetsRecordsButNotIds) {
 TEST(FlightRecorderTest, JsonRoundTripsThroughParser) {
   FlightRecorder rec;
   for (int i = 0; i < 5; ++i) rec.Record(MakeRecord(rec.MintId()));
-  rec.RetainTrace(3, "{\"name\":\"root\"}");
+  rec.RetainTrace(3, Tree("{\"name\":\"root\"}"));
 
-  auto doc = common::JsonValue::Parse(rec.Json());
+  auto doc = common::JsonValue::Parse(rec.Json().Dump());
   ASSERT_TRUE(doc.ok()) << doc.status();
   EXPECT_EQ(doc->Get("total_recorded")->AsDouble(), 5.0);
   ASSERT_NE(doc->Get("records"), nullptr);
@@ -355,7 +360,7 @@ TEST(TimeSeriesTest, JsonRoundTripsThroughParser) {
   reg.GetHistogram("h").Record(700000);
   ts.Tick();
 
-  auto doc = common::JsonValue::Parse(ts.Json());
+  auto doc = common::JsonValue::Parse(ts.Json().Dump());
   ASSERT_TRUE(doc.ok()) << doc.status();
   EXPECT_GT(doc->Get("interval_ms")->AsDouble(), 0.0);
   const common::JsonValue* windows = doc->Get("windows");
@@ -452,8 +457,8 @@ TEST(SlowQueryLogTest, LogRendersParseableLineWithTraceAndStats) {
   RequestRecord rec = MakeRecord(7);
   rec.status = static_cast<uint32_t>(StatusCode::kNotFound);
   log.Log(rec, "NotFound: no such collection \"x\"",
-          "{\"name\":\"select\",\"children\":[]}");
-  log.Log(rec, "NotFound", "");  // no trace -> null
+          Tree("{\"name\":\"select\",\"children\":[]}"));
+  log.Log(rec, "NotFound", common::JsonValue());  // no trace -> null
 
   ASSERT_EQ(lines.size(), 2u);
   auto doc = common::JsonValue::Parse(lines[0]);
@@ -475,8 +480,8 @@ TEST(SlowQueryLogTest, LogRendersParseableLineWithTraceAndStats) {
 TEST(SlowQueryLogTest, SinkFailureCountsAsDropped) {
   int calls = 0;
   SlowQueryLog log([&](const std::string&) { return ++calls > 1; }, {});
-  log.Log(MakeRecord(1), "ok", "");  // first write fails
-  log.Log(MakeRecord(2), "ok", "");
+  log.Log(MakeRecord(1), "ok", common::JsonValue());  // first write fails
+  log.Log(MakeRecord(2), "ok", common::JsonValue());
   SlowQueryLog::Stats stats = log.GetStats();
   EXPECT_EQ(stats.dropped, 1u);
   EXPECT_EQ(stats.written, 1u);
@@ -501,7 +506,7 @@ TEST(SlowQueryLogTest, EnvAppendLineSinkWritesAndSurvivesFaults) {
   fopts.kind = store::FaultInjectionEnv::FaultKind::kNoSpace;
   store::FaultInjectionEnv fenv(store::Env::Default(), fopts);
   SlowQueryLog log(service::EnvAppendLineSink(&fenv, path), {});
-  log.Log(MakeRecord(1), "ok", "");
+  log.Log(MakeRecord(1), "ok", common::JsonValue());
   EXPECT_EQ(log.GetStats().dropped, 1u);
   EXPECT_EQ(log.GetStats().written, 0u);
   fs::remove(path);
@@ -598,7 +603,7 @@ TEST_F(TelemetryServiceTest, EveryRunOutcomeLandsInTheRecorder) {
   for (const obs::SampledTrace& t : traces) {
     if (t.id != ok_rec->id) continue;
     found = true;
-    auto doc = common::JsonValue::Parse(t.trace_json);
+    auto doc = common::JsonValue::Parse(t.trace.Dump());
     EXPECT_TRUE(doc.ok()) << doc.status();
   }
   EXPECT_TRUE(found);

@@ -107,6 +107,11 @@ TEST(WireReject, NonJsonIsParseError) {
   ExpectRejected("not json at all", StatusCode::kParseError);
   ExpectRejected("{\"op\": \"select\"", StatusCode::kParseError);
   ExpectRejected("", StatusCode::kParseError);
+  // A raw control byte inside a JSON string is malformed JSON, even where
+  // the same document with the byte escaped is a valid request.
+  ExpectRejected(
+      "{\"op\": \"remove\", \"collection\": \"c\", \"key\": \"a\tb\"}",
+      StatusCode::kParseError);
 }
 
 TEST(WireReject, NonObjectIsInvalidArgument) {
