@@ -1,6 +1,7 @@
-// Ablation: cost of phase (i) -- rewriting a pattern tree into XPath with
-// SEO term expansion -- as the SEO grows. The Fig. 16 experiments attribute
-// the TAX/TOSS gap to "accesses to the ontology"; this isolates that cost.
+// Ablation: cost of phase (i) -- rewriting a pattern tree into a pushdown
+// plan with SEO term expansion -- as the SEO grows. The Fig. 16 experiments
+// attribute the TAX/TOSS gap to "accesses to the ontology"; this isolates
+// that cost.
 
 #include <benchmark/benchmark.h>
 
@@ -50,7 +51,7 @@ void BM_Rewrite(benchmark::State& state) {
       setup.world.venues[0].short_name, setup.world.venues[0].category);
   size_t expanded = 0;
   for (auto _ : state) {
-    auto r = exec.RewriteToXPaths(pattern, {}, &expanded);
+    auto r = exec.RewriteToPlan(pattern, {}, &expanded);
     benchmark::DoNotOptimize(r.ok());
   }
   state.counters["seo_nodes"] =

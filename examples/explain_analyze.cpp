@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   std::printf("%s", resp.trace->Pretty().c_str());
   std::printf("phases: rewrite %.3f ms, store %.3f ms, eval %.3f ms "
               "(total %.3f ms)\n"
-              "xpath queries %zu, expanded terms %zu, candidate docs %zu, "
+              "plan steps %zu, expanded terms %zu, candidate docs %zu, "
               "result trees %zu\n"
               "trace coverage: %.1f%%\n",
               resp.stats.rewrite_ms, resp.stats.store_ms, resp.stats.eval_ms,

@@ -282,22 +282,66 @@ class JsonParser {
   }
 
   Status ParseNumber(JsonValue* out) {
-    size_t start = pos_;
-    if (Consume('-')) {
+    // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+    const size_t start = pos_;
+    auto digits = [this] {
+      const size_t from = pos_;
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+        ++pos_;
+      }
+      return pos_ - from;
+    };
+    const bool minus = Consume('-');
+    if (!Consume('0') && digits() == 0) {
+      return Fail(minus ? "malformed number" : "expected a value");
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+    if (Consume('.') && digits() == 0) return Fail("malformed number");
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (digits() == 0) return Fail("malformed number");
     }
-    if (pos_ == start) return Fail("expected a value");
     const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return Fail("malformed number");
-    *out = JsonValue::Number(v);
+    *out = JsonValue::Number(std::strtod(token.c_str(), nullptr));
     return Status::OK();
+  }
+
+  /// Reads the four hex digits of a backslash-u escape.
+  Status ParseHex4(unsigned int* cp) {
+    if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
+    *cp = 0;
+    for (int i = 0; i < 4; ++i) {
+      char h = text_[pos_++];
+      *cp <<= 4;
+      if (h >= '0' && h <= '9') {
+        *cp |= static_cast<unsigned int>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        *cp |= static_cast<unsigned int>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        *cp |= static_cast<unsigned int>(h - 'A' + 10);
+      } else {
+        return Fail("bad \\u escape digit");
+      }
+    }
+    return Status::OK();
+  }
+
+  static void AppendUtf8(unsigned int cp, std::string* out) {
+    if (cp < 0x80) {
+      out->push_back(static_cast<char>(cp));
+    } else if (cp < 0x800) {
+      out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else if (cp < 0x10000) {
+      out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    } else {
+      out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+      out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+    }
   }
 
   Status ParseString(std::string* out) {
@@ -344,33 +388,26 @@ class JsonParser {
           out->push_back('\t');
           break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
           unsigned int cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            cp <<= 4;
-            if (h >= '0' && h <= '9') {
-              cp |= static_cast<unsigned int>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              cp |= static_cast<unsigned int>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              cp |= static_cast<unsigned int>(h - 'A' + 10);
-            } else {
-              return Fail("bad \\u escape digit");
+          TOSS_RETURN_NOT_OK(ParseHex4(&cp));
+          if (cp >= 0xDC00 && cp <= 0xDFFF) {
+            return Fail("unpaired low surrogate in \\u escape");
+          }
+          if (cp >= 0xD800 && cp <= 0xDBFF) {
+            // A high surrogate must be followed by an escaped low one; the
+            // pair encodes one code point above U+FFFF.
+            unsigned int low = 0;
+            if (text_.substr(pos_, 2) != "\\u") {
+              return Fail("unpaired high surrogate in \\u escape");
             }
+            pos_ += 2;
+            TOSS_RETURN_NOT_OK(ParseHex4(&low));
+            if (low < 0xDC00 || low > 0xDFFF) {
+              return Fail("unpaired high surrogate in \\u escape");
+            }
+            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
           }
-          // UTF-8 encode the code point (surrogate pairs unsupported; the
-          // emitters in this repo only escape control bytes < 0x20).
-          if (cp < 0x80) {
-            out->push_back(static_cast<char>(cp));
-          } else if (cp < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-            out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-            out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          }
+          AppendUtf8(cp, out);
           break;
         }
         default:

@@ -101,6 +101,26 @@ std::vector<std::string> TokenizeWords(std::string_view s) {
   return out;
 }
 
+std::vector<std::string> EnclosedWords(std::string_view s) {
+  std::vector<std::string> out;
+  size_t i = 0;
+  while (i < s.size()) {
+    if (!std::isalnum(static_cast<unsigned char>(s[i]))) {
+      ++i;
+      continue;
+    }
+    size_t end = i;
+    while (end < s.size() && std::isalnum(static_cast<unsigned char>(s[end]))) {
+      ++end;
+    }
+    if (i > 0 && end < s.size()) {
+      out.push_back(ToLower(s.substr(i, end - i)));
+    }
+    i = end;
+  }
+  return out;
+}
+
 bool ParseInt(std::string_view s, long long* out) {
   s = Trim(s);
   if (s.empty()) return false;

@@ -44,6 +44,11 @@ bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
 /// separators). Used by token-based similarity measures.
 std::vector<std::string> TokenizeWords(std::string_view s);
 
+/// The TokenizeWords tokens of `s` that a non-alphanumeric character of `s`
+/// delimits on both sides. Any string containing `s` holds each of them as
+/// a whole word; the first and last token of `s` may be cut mid-word.
+std::vector<std::string> EnclosedWords(std::string_view s);
+
 /// Parses a decimal integer; returns false on non-numeric input or overflow.
 bool ParseInt(std::string_view s, long long* out);
 

@@ -1,11 +1,12 @@
 // Prepared-query cache: memoizes phase (i) of query execution -- the
-// pattern-tree -> XPath rewrite, whose cost is dominated by SEO term
+// pattern-tree -> pushdown plan rewrite, whose cost is dominated by SEO term
 // expansion -- keyed by a canonical serialization of the pattern tree plus
-// the label restriction (DESIGN.md §11 "Service layer").
+// the label restriction (DESIGN.md §11 "Prepared-query cache").
 //
-// The rewrite of a pattern depends only on (pattern, label filter, SEO), so
-// entries stay valid until the SEO changes; service::TossService calls
-// Clear() when it swaps SEOs. The cache is a bounded, thread-safe LRU:
+// The plan of a pattern depends only on (pattern, label filter, SEO), not
+// on the stored documents, so entries stay valid across writes until the
+// SEO changes; service::TossService calls Clear() when it swaps SEOs. The
+// cache is a bounded, thread-safe LRU:
 // repeated queries -- the common shape of production traffic -- skip SEO
 // expansion entirely and go straight to the store scan.
 
@@ -18,14 +19,15 @@
 #include <unordered_map>
 #include <vector>
 
+#include "store/collection.h"
 #include "tax/pattern_tree.h"
 
 namespace toss::core {
 
-/// A memoized phase (i) result: the pushdown XPath queries and the SEO
-/// expansion fan-out that produced them.
+/// A memoized phase (i) result: the pushdown plan and the SEO expansion
+/// fan-out that produced it.
 struct PreparedRewrite {
-  std::vector<std::string> xpaths;
+  store::PushdownPlan plan;
   size_t expanded_terms = 0;
 };
 

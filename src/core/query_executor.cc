@@ -230,7 +230,7 @@ class SeoSimilarOracle final : public tax::SimilarOracle {
 };
 
 /// Single-label atoms in conjunctive context, grouped by label (the only
-/// conditions that can be pushed down into XPath).
+/// conditions that can be pushed down to the store).
 void CollectPushdownAtoms(
     const Condition& c,
     std::map<int, std::vector<const Condition*>>* by_label) {
@@ -243,20 +243,6 @@ void CollectPushdownAtoms(
   if (c.kind != Condition::Kind::kAtom) return;
   auto labels = c.ReferencedLabels();
   if (labels.size() == 1) (*by_label)[labels[0]].push_back(&c);
-}
-
-/// Quotes `s` as an XPath-lite string literal, or returns false when it
-/// cannot be represented (contains both quote kinds).
-bool QuoteLiteral(const std::string& s, std::string* out) {
-  if (s.find('\'') == std::string::npos) {
-    *out = "'" + s + "'";
-    return true;
-  }
-  if (s.find('"') == std::string::npos) {
-    *out = "\"" + s + "\"";
-    return true;
-  }
-  return false;
 }
 
 /// True when the atom is `$n.tag = "literal"` with a concrete literal.
@@ -346,30 +332,18 @@ void SubtreeLabels(const PatternTree& p, int root, std::vector<int>* out) {
   for (int c : p.node(root).children) SubtreeLabels(p, c, out);
 }
 
-/// Distinct documents matched by one XPath, ascending. Query returns
-/// matches in (doc, document-order) order over an ascending candidate
-/// list, so deduplicating adjacent ids suffices.
-Result<std::vector<store::DocId>> MatchedDocs(const store::Collection& coll,
-                                              const std::string& xpath,
-                                              store::QueryStats* qstats) {
-  TOSS_ASSIGN_OR_RETURN(std::vector<store::Match> matches,
-                        coll.QueryText(xpath, true, qstats));
-  std::vector<store::DocId> ids;
-  ids.reserve(matches.size());
-  for (const auto& m : matches) {
-    if (ids.empty() || ids.back() != m.doc) ids.push_back(m.doc);
+/// The plan order an ordering atom pushes down as.
+store::PlanStep::Order ToOrder(CondOp op) {
+  switch (op) {
+    case CondOp::kLt:
+      return store::PlanStep::Order::kLt;
+    case CondOp::kLeq:
+      return store::PlanStep::Order::kLeq;
+    case CondOp::kGt:
+      return store::PlanStep::Order::kGt;
+    default:
+      return store::PlanStep::Order::kGeq;
   }
-  return ids;
-}
-
-/// Intersection of two ascending id lists.
-std::vector<store::DocId> IntersectSorted(const std::vector<store::DocId>& a,
-                                          const std::vector<store::DocId>& b) {
-  std::vector<store::DocId> out;
-  out.reserve(std::min(a.size(), b.size()));
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
 }
 
 }  // namespace
@@ -422,7 +396,7 @@ const tax::ConditionSemantics& QueryExecutor::semantics() const {
   return tax_semantics_;
 }
 
-Result<std::vector<std::string>> QueryExecutor::RewriteToXPaths(
+Result<store::PushdownPlan> QueryExecutor::RewriteToPlan(
     const PatternTree& pattern, const std::vector<int>& labels,
     size_t* expanded_terms) const {
   TOSS_RETURN_NOT_OK(pattern.Validate());
@@ -430,41 +404,35 @@ Result<std::vector<std::string>> QueryExecutor::RewriteToXPaths(
   CollectPushdownAtoms(pattern.condition(), &atoms);
 
   std::set<int> wanted(labels.begin(), labels.end());
-  std::vector<std::string> xpaths;
+  store::PushdownPlan plan;
 
   for (const auto& [label, conds] : atoms) {
     if (!wanted.empty() && !wanted.count(label)) continue;
-    // A pushdown query needs a concrete tag to anchor on.
-    std::string tag;
+    // A pushdown step needs a concrete tag to anchor on.
+    store::PlanStep step;
     bool has_tag = false;
     for (const Condition* atom : conds) {
-      if (TagEquality(*atom, &tag)) {
+      if (TagEquality(*atom, &step.tag)) {
         has_tag = true;
         break;
       }
     }
     if (!has_tag) continue;
 
-    std::string predicates;
     for (const Condition* atom : conds) {
       CondOp op;
       std::string literal;
       if (!ContentAtom(*atom, &op, &literal)) continue;
-      std::string quoted;
       switch (op) {
         case CondOp::kEq: {
-          // "*X*" wildcards push down as contains(); other wildcard shapes
+          // "*X*" wildcards push down as containment; other wildcard shapes
           // stay eval-only.
           if (literal.size() > 2 && literal.front() == '*' &&
               literal.back() == '*' &&
               literal.find('*', 1) == literal.size() - 1) {
-            std::string inner = literal.substr(1, literal.size() - 2);
-            if (QuoteLiteral(inner, &quoted)) {
-              predicates += "[contains(., " + quoted + ")]";
-            }
-          } else if (!Contains(literal, "*") &&
-                     QuoteLiteral(literal, &quoted)) {
-            predicates += "[. = " + quoted + "]";
+            step.contains.push_back(literal.substr(1, literal.size() - 2));
+          } else if (!Contains(literal, "*")) {
+            step.any_of.push_back({literal});
           }
           break;
         }
@@ -473,19 +441,15 @@ Result<std::vector<std::string>> QueryExecutor::RewriteToXPaths(
         case CondOp::kPartOf:
         case CondOp::kBelow: {
           if (seo_ == nullptr) {
-            // TAX baseline: ~ is exact equality; ontology operators are
-            // "contains" -- both push down without expansion.
-            if (op == CondOp::kSimilar) {
-              if (QuoteLiteral(literal, &quoted)) {
-                predicates += "[. = " + quoted + "]";
-              }
-            } else if (QuoteLiteral(literal, &quoted)) {
-              predicates += "[contains(., " + quoted + ")]";
-            }
+            // TAX baseline: ~ is exact equality. The ontology operators
+            // degrade to case-insensitive containment in either direction
+            // (TaxSemantics::Related), which no posting bounds: they stay
+            // eval-only.
+            if (op == CondOp::kSimilar) step.any_of.push_back({literal});
             break;
           }
-          // TOSS: expand the literal through the SEO into a disjunction of
-          // concrete terms.
+          // TOSS: expand the literal through the SEO into an any-of group
+          // of concrete terms.
           std::vector<std::string> terms;
           if (op == CondOp::kSimilar) {
             terms = seo_->SimilarTerms(literal);
@@ -495,92 +459,71 @@ Result<std::vector<std::string>> QueryExecutor::RewriteToXPaths(
             terms = seo_->TermsBelow(rel, literal);
           }
           if (expanded_terms != nullptr) *expanded_terms += terms.size();
-          std::string disjunction;
-          for (const auto& term : terms) {
-            if (!QuoteLiteral(term, &quoted)) continue;
-            if (!disjunction.empty()) disjunction += " or ";
-            disjunction += ". = " + quoted;
-          }
-          if (!disjunction.empty()) {
-            predicates += "[(" + disjunction + ")]";
-          }
+          step.any_of.push_back(std::move(terms));
           break;
         }
         case CondOp::kLt:
         case CondOp::kLeq:
         case CondOp::kGt:
-        case CondOp::kGeq: {
-          // Ordering atoms push down verbatim: XPath-lite comparisons use
-          // the same CompareScalar semantics, and the store's ordered
-          // indexes turn them into range scans.
-          if (Contains(literal, "*")) break;
-          if (!QuoteLiteral(literal, &quoted)) break;
-          const char* op_token = op == CondOp::kLt    ? "<"
-                                 : op == CondOp::kLeq ? "<="
-                                 : op == CondOp::kGt  ? ">"
-                                                      : ">=";
-          predicates += std::string("[. ") + op_token + " " + quoted + "]";
+        case CondOp::kGeq:
+          // Ordering atoms push down as they are: the store checks them
+          // with the same CompareScalar order, and its ordered indexes
+          // turn them into range scans.
+          if (!Contains(literal, "*")) {
+            step.bounds.push_back({ToOrder(op), literal});
+          }
           break;
-        }
         default:
           break;  // other operators stay eval-only
       }
     }
-    xpaths.push_back("//" + tag + predicates);
+    plan.push_back(std::move(step));
   }
-  return xpaths;
+  return plan;
 }
 
 Result<std::string> QueryExecutor::Explain(
     const std::string& collection, const PatternTree& pattern) const {
   TOSS_ASSIGN_OR_RETURN(const store::Collection* coll,
                         db_->GetCollection(collection));
-  size_t expanded = 0;
-  TOSS_ASSIGN_OR_RETURN(std::vector<std::string> xpaths,
-                        RewriteToXPaths(pattern, {}, &expanded));
+  ExecStats stats;
+  PlanTrace trace;
+  TOSS_ASSIGN_OR_RETURN(
+      std::vector<store::DocId> docs,
+      CandidateDocs(*coll, pattern, {}, QueryOptions{}, &stats, nullptr,
+                    &trace));
   std::string out;
   out += "system: ";
   out += (seo_ != nullptr ? "TOSS (SEO epsilon=" +
                                 std::to_string(seo_->epsilon()) + ")"
                           : "TAX (exact baseline)");
   out += "\ncollection: " + collection + " (" +
-         std::to_string(coll->AllDocs().size()) + " documents)\n";
+         std::to_string(coll->AllDocs().size()) +
+         " documents)\n";
   out += "condition: " + pattern.condition().ToString() + "\n";
-  out += "expanded terms: " + std::to_string(expanded) + "\n";
-  std::vector<store::DocId> intersection;
-  bool first = true;
-  if (xpaths.empty()) {
-    out += "no pushdown queries: full collection scan\n";
+  out += "expanded terms: " + std::to_string(stats.expanded_terms) + "\n";
+  if (trace.plan.empty()) {
+    out += "no pushdown steps: full collection scan\n";
+    return out;
   }
-  for (const auto& xp : xpaths) {
-    store::QueryStats qstats;
-    TOSS_ASSIGN_OR_RETURN(std::vector<store::DocId> ids,
-                          MatchedDocs(*coll, xp, &qstats));
-    out += "xpath: " + xp + "\n";
-    out += "  -> " + std::to_string(ids.size()) + " documents (index " +
-           (qstats.used_indexes ? "pruned to " +
-                                      std::to_string(qstats.scanned_docs) +
-                                      " scanned"
-                                : "not used") +
-           ")\n";
-    if (first) {
-      intersection = std::move(ids);
-      first = false;
-    } else {
-      intersection = IntersectSorted(intersection, ids);
-    }
+  for (const store::PlanStepStats& step : trace.steps) {
+    out += "step: " + trace.plan[step.step].ToString() + "\n";
+    out += "  -> " + std::to_string(step.candidates) +
+           " documents after its postings" +
+           (step.checked_docs == 0 ? " (exact)"
+                       : ", " + std::to_string(step.checked_docs) +
+                             " checked element by element") +
+           "\n";
   }
-  if (!xpaths.empty()) {
-    out += "candidates after intersection: " +
-           std::to_string(intersection.size()) + "\n";
-  }
+  out += "candidates after intersection: " + std::to_string(docs.size()) +
+         "\n";
   return out;
 }
 
 Result<std::vector<store::DocId>> QueryExecutor::CandidateDocs(
     const store::Collection& coll, const PatternTree& pattern,
     const std::vector<int>& labels, const QueryOptions& options,
-    ExecStats* stats, obs::Span* parent) const {
+    ExecStats* stats, obs::Span* parent, PlanTrace* trace) const {
   QueryMetrics& m = Instruments();
   TOSS_RETURN_NOT_OK(CheckCancel(options.cancel));
   Timer timer;
@@ -600,70 +543,49 @@ Result<std::vector<store::DocId>> QueryExecutor::CandidateDocs(
   }
   if (!cache_hit) {
     TOSS_ASSIGN_OR_RETURN(
-        rewrite.xpaths,
-        RewriteToXPaths(pattern, labels, &rewrite.expanded_terms));
+        rewrite.plan,
+        RewriteToPlan(pattern, labels, &rewrite.expanded_terms));
     if (options.prepared != nullptr) {
       options.prepared->Insert(cache_key, rewrite);
     }
   }
-  const std::vector<std::string>& xpaths = rewrite.xpaths;
+  const store::PushdownPlan& plan = rewrite.plan;
   const size_t expanded = rewrite.expanded_terms;
-  rewrite_span.Annotate("xpath_queries", static_cast<uint64_t>(xpaths.size()));
+  rewrite_span.Annotate("xpath_queries", static_cast<uint64_t>(plan.size()));
   rewrite_span.Annotate("expanded_terms", static_cast<uint64_t>(expanded));
   if (options.prepared != nullptr && rewrite_span.enabled()) {
     rewrite_span.Annotate("prepared_cache", cache_hit ? "hit" : "miss");
   }
   rewrite_span.End();
   m.rewrite_ns.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
-  m.xpath_queries.Add(xpaths.size());
+  m.xpath_queries.Add(plan.size());
   m.expanded_terms.Add(expanded);
   if (stats != nullptr) {
     stats->rewrite_ms += timer.ElapsedMillis();
-    stats->xpath_queries += xpaths.size();
+    stats->xpath_queries += plan.size();
     stats->expanded_terms += expanded;
     stats->prepared_cache_hits += cache_hit ? 1 : 0;
   }
 
+  TOSS_RETURN_NOT_OK(CheckCancel(options.cancel));
   timer.Reset();
   obs::Span store_span(parent, "store_scan");
-  std::vector<store::DocId> docs;
-  size_t scanned_docs = 0;
-  size_t total_docs = 0;
-  bool used_indexes = false;
-  if (xpaths.empty()) {
-    docs = coll.AllDocs();
-    scanned_docs = docs.size();  // full collection scan, nothing pruned
-    total_docs = docs.size();
-  } else {
-    bool first = true;
-    for (const auto& xp : xpaths) {
-      TOSS_RETURN_NOT_OK(CheckCancel(options.cancel));
-      store::QueryStats qstats;
-      TOSS_ASSIGN_OR_RETURN(std::vector<store::DocId> ids,
-                            MatchedDocs(coll, xp, &qstats));
-      scanned_docs += qstats.scanned_docs;
-      total_docs = std::max(total_docs, qstats.total_docs);
-      used_indexes = used_indexes || qstats.used_indexes;
-      if (first) {
-        docs = std::move(ids);
-        first = false;
-      } else {
-        docs = IntersectSorted(docs, ids);
-      }
-      if (docs.empty()) break;
-    }
-  }
+  store::QueryStats qstats;
+  std::vector<store::DocId> docs = coll.PlanDocs(
+      plan, &qstats, trace != nullptr ? &trace->steps : nullptr);
+  if (trace != nullptr) trace->plan = plan;
   if (store_span.enabled()) {
     store_span.Annotate("candidate_docs", static_cast<uint64_t>(docs.size()));
-    store_span.Annotate("docs_scanned", static_cast<uint64_t>(scanned_docs));
-    store_span.Annotate("docs_total", static_cast<uint64_t>(total_docs));
-    store_span.Annotate("index_used", used_indexes ? "true" : "false");
-    const size_t scan_budget = total_docs * std::max<size_t>(xpaths.size(), 1);
+    store_span.Annotate("docs_scanned",
+                        static_cast<uint64_t>(qstats.scanned_docs));
+    store_span.Annotate("docs_total", static_cast<uint64_t>(qstats.total_docs));
+    store_span.Annotate("index_used", qstats.used_indexes ? "true" : "false");
+    const size_t scan_budget = qstats.total_docs * plan.size();
     if (scan_budget > 0) {
-      // Fraction of the naive per-query scan work the indexes eliminated.
+      // Fraction of the naive per-step element checks the indexes saved.
       store_span.Annotate(
           "index_pruning_ratio",
-          1.0 - static_cast<double>(scanned_docs) /
+          1.0 - static_cast<double>(qstats.scanned_docs) /
                     static_cast<double>(scan_budget));
     }
   }

@@ -2,11 +2,13 @@
 //
 // Executes TAX/TOSS algebra queries against the embedded XML store in the
 // paper's three instrumented phases:
-//   (i)   parse the pattern tree and rewrite it into XPath queries -- for
-//         TOSS, ~ / isa / part_of conditions are first expanded through the
-//         SEO into disjunctions of concrete terms;
-//   (ii)  execute the XPath queries in the store, intersecting their
-//         document sets;
+//   (i)   parse the pattern tree and rewrite it into a typed pushdown plan,
+//         one store::PlanStep per labelled node -- for TOSS, ~ / isa /
+//         part_of conditions are first expanded through the SEO into
+//         any-of groups of concrete terms;
+//   (ii)  answer the plan in the store (Collection::PlanDocs): steps come
+//         from the postings where those are exact, and documents are
+//         checked element by element only for the steps they cannot decide;
 //   (iii) convert surviving documents into TAX data trees and evaluate the
 //         full algebra operator (selection / projection / join) with the
 //         appropriate condition semantics.
@@ -62,7 +64,7 @@ struct ExecStats {
   double rewrite_ms = 0.0;  ///< phase (i)
   double store_ms = 0.0;    ///< phase (ii)
   double eval_ms = 0.0;     ///< phase (iii)
-  size_t xpath_queries = 0;
+  size_t xpath_queries = 0;    ///< pushdown plan steps (wire name kept)
   size_t expanded_terms = 0;   ///< total SEO expansion fan-out
   size_t candidate_docs = 0;   ///< documents surviving phase (ii)
   size_t result_trees = 0;
@@ -182,29 +184,38 @@ class QueryExecutor {
 
   bool is_toss() const { return seo_ != nullptr; }
 
-  /// Phase (i) in isolation: the XPath rewrites for `pattern`, restricted
-  /// to the labels in `labels` (empty = all). Exposed for tests and the
-  /// rewrite-cost ablation bench.
-  Result<std::vector<std::string>> RewriteToXPaths(
-      const tax::PatternTree& pattern, const std::vector<int>& labels,
-      size_t* expanded_terms) const;
+  /// Phase (i) in isolation: the pushdown plan for `pattern`, one step per
+  /// labelled node with a concrete tag, restricted to the labels in
+  /// `labels` (empty = all). Exposed for tests and the rewrite-cost
+  /// ablation bench.
+  Result<store::PushdownPlan> RewriteToPlan(const tax::PatternTree& pattern,
+                                            const std::vector<int>& labels,
+                                            size_t* expanded_terms) const;
 
   /// EXPLAIN: a human-readable account of how a selection over
-  /// `collection` would run -- the rewritten XPath queries (with SEO term
-  /// expansions inlined), each query's candidate-document count, and the
-  /// final intersected candidate set size. Runs phases (i) and (ii) but
-  /// not (iii).
+  /// `collection` runs -- the plan's steps in execution order (rendered
+  /// //tag[...], SEO term expansions inlined), how many candidates are
+  /// left after each step's postings and how many were checked element by
+  /// element, and the final candidate set size. Runs phases (i) and (ii)
+  /// through the same code as a query, but not (iii).
   Result<std::string> Explain(const std::string& collection,
                               const tax::PatternTree& pattern) const;
 
  private:
-  /// Phases (i) + (ii), with the phase (i) rewrite served from
-  /// `options.prepared` when possible and the cancel token checked between
-  /// store queries.
+  /// What phase (ii) ran, for Explain.
+  struct PlanTrace {
+    store::PushdownPlan plan;
+    std::vector<store::PlanStepStats> steps;
+  };
+
+  /// Phases (i) + (ii), with the phase (i) plan served from
+  /// `options.prepared` when possible. `trace` (optional) receives the
+  /// plan and its per-step costs.
   Result<std::vector<store::DocId>> CandidateDocs(
       const store::Collection& coll, const tax::PatternTree& pattern,
       const std::vector<int>& labels, const QueryOptions& options,
-      ExecStats* stats, obs::Span* parent) const;
+      ExecStats* stats, obs::Span* parent,
+      PlanTrace* trace = nullptr) const;
 
   /// Runs fn(0) .. fn(n-1) with a per-index cancellation check -- over the
   /// shared worker pool when `options.parallelism` and `n` warrant it AND

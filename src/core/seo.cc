@@ -160,9 +160,11 @@ std::vector<std::string> Seo::SimilarTerms(const std::string& term) const {
     } else if (measure_ != nullptr) {
       // The query literal is not an ontology term: fall back to comparing
       // it against every term (the paper's option (i) when a string is
-      // outside the enhancement).
+      // outside the enhancement), on lowercased forms as Similar does.
+      const std::string lowered = ToLower(term);
       for (const auto& t : h->AllTerms()) {
-        if (measure_->BoundedDistance(term, t, epsilon_) <= epsilon_) {
+        if (measure_->BoundedDistance(lowered, ToLower(t), epsilon_) <=
+            epsilon_) {
           out.insert(t);
         }
       }

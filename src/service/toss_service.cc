@@ -189,16 +189,17 @@ Status TossService::ApplyMutation(const QueryRequest& request,
         "read-only service: construct TossService with a mutable Database "
         "to accept mutations");
   }
-  // Exclusive where queries hold shared: the in-memory apply (and the
-  // prepared-cache invalidation) happens with no query in flight, exactly
-  // like SwapSeo. The WAL fsync happens inside DurableMutate BEFORE the
-  // apply, so OK here means durable. The turnstile (held only while
-  // WAITING for the exclusive lock) keeps a steady query stream from
-  // starving the mutation.
+  // Exclusive where queries hold shared: the in-memory apply happens with
+  // no query in flight, exactly like SwapSeo. The prepared cache stays: a
+  // plan depends on the pattern and the SEO, not on the stored documents.
+  // The WAL fsync happens inside DurableMutate BEFORE the apply, so OK
+  // here means durable. The turnstile (held only while WAITING for the
+  // exclusive lock) keeps a steady query stream from starving the
+  // mutation.
   std::unique_lock<std::mutex> gate(write_gate_);
   std::unique_lock<std::shared_mutex> exec_lock(exec_mu_);
   gate.unlock();
-  Status st = std::visit(
+  return std::visit(
       Overloaded{
           [&](const InsertSpec& s) {
             return mutable_db_->DurableInsert(s.collection, s.key, s.xml,
@@ -216,8 +217,6 @@ Status TossService::ApplyMutation(const QueryRequest& request,
           },
       },
       request.op);
-  if (st.ok()) prepared_.Clear();
-  return st;
 }
 
 QueryResponse TossService::Run(const QueryRequest& request) {

@@ -25,8 +25,9 @@
 //     (AdmissionController; `service.*` metrics);
 //   * cooperative deadlines -- a per-request CancelToken threaded through
 //     the executor's phases and per-document loops;
-//   * a prepared-query cache -- phase (i) rewrites memoized by canonical
-//     pattern hash, invalidated by SwapSeo.
+//   * a prepared-query cache -- phase (i) pushdown plans memoized by
+//     canonical pattern hash, invalidated by SwapSeo (writes keep it: a
+//     plan does not depend on the stored documents).
 //
 // Everything multi-client comes through here; service/wire.h defines the
 // versioned JSON forms of QueryRequest/QueryResponse that the HTTP edge
@@ -242,8 +243,7 @@ class TossService {
                   obs::Span* parent);
 
   /// Serves one mutation request under the exclusive executor lock (no
-  /// query runs while the in-memory state changes) and invalidates the
-  /// prepared-query cache on success, SwapSeo-style. `parent` (nullable)
+  /// query runs while the in-memory state changes). `parent` (nullable)
   /// receives the durable write path's wal_validate / wal_commit spans.
   Status ApplyMutation(const QueryRequest& request, obs::Span* parent);
 

@@ -1,6 +1,7 @@
 #include "store/collection.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -32,6 +33,78 @@ StoreMetrics& Instruments() {
   return *m;
 }
 
+/// Longest element content the value indexes key.
+constexpr size_t kMaxIndexedValue = 256;
+
+std::vector<DocId> ToList(const std::set<DocId>& docs) {
+  return {docs.begin(), docs.end()};
+}
+
+std::vector<DocId> Union(const std::vector<DocId>& a,
+                         const std::vector<DocId>& b) {
+  std::vector<DocId> out;
+  out.reserve(a.size() + b.size());
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(out));
+  return out;
+}
+
+/// An element's own text: its direct text children, concatenated -- the
+/// content tax::DataTree::FromXml decodes and evaluation compares.
+std::string OwnText(const xml::XmlDocument& doc, xml::NodeId id) {
+  std::string out;
+  for (xml::NodeId c : doc.node(id).children) {
+    if (doc.node(c).kind == xml::NodeKind::kText) out += doc.node(c).text;
+  }
+  return out;
+}
+
+/// Equality of a content and a plan value: a '*' in the content globs, as
+/// it does when evaluation compares it with a star-free literal
+/// (tax::CompareValues).
+bool GlobEquals(std::string_view content, std::string_view value) {
+  return content == value ||
+         (Contains(content, "*") && GlobMatch(content, value));
+}
+
+bool ContentSatisfies(const std::string& content, const PlanStep& step) {
+  for (const auto& group : step.any_of) {
+    if (std::none_of(group.begin(), group.end(), [&](const std::string& v) {
+          return GlobEquals(content, v);
+        })) {
+      return false;
+    }
+  }
+  for (const auto& bound : step.bounds) {
+    std::optional<int> cmp = CompareScalar(content, bound.literal);
+    if (!cmp.has_value()) return false;
+    bool ok = bound.op == PlanStep::Order::kLt    ? *cmp < 0
+              : bound.op == PlanStep::Order::kLeq ? *cmp <= 0
+              : bound.op == PlanStep::Order::kGt  ? *cmp > 0
+                                                  : *cmp >= 0;
+    if (!ok) return false;
+  }
+  for (const auto& text : step.contains) {
+    if (!Contains(content, text)) return false;
+  }
+  return true;
+}
+
+/// The element check: some element of `doc` matches the step's tag (glob-
+/// aware, as tag equality evaluates) and satisfies all its predicates.
+bool StepMatches(const xml::XmlDocument& doc, const PlanStep& step) {
+  for (xml::NodeId id = 0; id < doc.size(); ++id) {
+    const xml::XmlNode& n = doc.node(id);
+    if (n.kind != xml::NodeKind::kElement) continue;
+    if (n.tag != step.tag &&
+        !(Contains(n.tag, "*") && GlobMatch(n.tag, step.tag))) {
+      continue;
+    }
+    if (ContentSatisfies(OwnText(doc, id), step)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 // Moves transfer the counters and zero the source: a moved-from collection
@@ -44,6 +117,8 @@ Collection::Collection(Collection&& other) noexcept
       by_key_(std::move(other.by_key_)),
       tag_index_(std::move(other.tag_index_)),
       unindexed_tag_docs_(std::move(other.unindexed_tag_docs_)),
+      irregular_docs_(std::move(other.irregular_docs_)),
+      wildcard_tag_docs_(std::move(other.wildcard_tag_docs_)),
       term_index_(std::move(other.term_index_)),
       value_index_(std::move(other.value_index_)),
       numeric_index_(std::move(other.numeric_index_)),
@@ -63,6 +138,8 @@ Collection& Collection::operator=(Collection&& other) noexcept {
   by_key_ = std::move(other.by_key_);
   tag_index_ = std::move(other.tag_index_);
   unindexed_tag_docs_ = std::move(other.unindexed_tag_docs_);
+  irregular_docs_ = std::move(other.irregular_docs_);
+  wildcard_tag_docs_ = std::move(other.wildcard_tag_docs_);
   term_index_ = std::move(other.term_index_);
   value_index_ = std::move(other.value_index_);
   numeric_index_ = std::move(other.numeric_index_);
@@ -165,9 +242,16 @@ void Collection::IndexDocument(DocId id) {
     } else {
       unindexed_tag_docs_.insert(id);
     }
+    if (Contains(n.tag, "*")) wildcard_tag_docs_.insert(id);
     // Value indexes: the element's text content (leaf-style values).
     std::string content = doc.TextContent(nid);
-    if (!content.empty() && content.size() <= 256) {
+    const std::string own = OwnText(doc, nid);
+    if (tag_sym != kInvalidSymbol &&
+        (own != content || own.empty() || own.size() > kMaxIndexedValue ||
+         Contains(own, "*"))) {
+      irregular_docs_[tag_sym].insert(id);
+    }
+    if (!content.empty() && content.size() <= kMaxIndexedValue) {
       std::string vkey = ValueKey(n.tag, content);
       value_index_.Insert(vkey, id);
       entry.value_keys.push_back(std::move(vkey));
@@ -187,6 +271,8 @@ void Collection::UnindexDocument(DocId id) {
   // indexes use the per-document key log recorded at index time.
   for (auto& [tag, postings] : tag_index_) postings.erase(id);
   unindexed_tag_docs_.erase(id);
+  for (auto& [tag, docs] : irregular_docs_) docs.erase(id);
+  wildcard_tag_docs_.erase(id);
   for (auto& [term, postings] : term_index_) postings.erase(id);
   Entry& entry = docs_[id];
   for (const auto& key : entry.value_keys) {
@@ -241,6 +327,12 @@ Result<std::vector<DocId>> Collection::DocsWithValueInRange(
                                         collect);
     }
   }
+  if (auto sym = Interner::Global().Find(tag)) {
+    auto it = irregular_docs_.find(*sym);
+    if (it != irregular_docs_.end()) {
+      out.insert(out.end(), it->second.begin(), it->second.end());
+    }
+  }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -279,15 +371,7 @@ std::vector<DocId> Collection::DocsWithAnyTagIds(
 }
 
 std::vector<DocId> Collection::DocsWithWildcardTag() const {
-  std::set<DocId> docs(unindexed_tag_docs_.begin(),
-                       unindexed_tag_docs_.end());
-  Interner& interner = Interner::Global();
-  for (const auto& [tag, postings] : tag_index_) {
-    if (interner.HasStar(tag)) {
-      docs.insert(postings.begin(), postings.end());
-    }
-  }
-  return {docs.begin(), docs.end()};
+  return Union(ToList(wildcard_tag_docs_), ToList(unindexed_tag_docs_));
 }
 
 std::vector<DocId> Collection::PlanCandidates(const xml::PlanHints& hints,
@@ -314,7 +398,7 @@ std::vector<DocId> Collection::PlanCandidates(const xml::PlanHints& hints,
   for (const auto& [tag, value] : hints.required_values) {
     // Value index only covers short leaf values; skip long ones (the tag
     // hint still applies).
-    if (value.size() > 256) continue;
+    if (value.size() > kMaxIndexedValue) continue;
     const std::vector<DocId>* p = value_index_.Get(ValueKey(tag, value));
     postings.emplace_back(p == nullptr ? std::vector<DocId>{} : *p);
   }
@@ -324,26 +408,6 @@ std::vector<DocId> Collection::PlanCandidates(const xml::PlanHints& hints,
                               ? std::vector<DocId>{}
                               : std::vector<DocId>(it->second.begin(),
                                                    it->second.end()));
-  }
-  // Disjunctive groups: union the value postings per group, then intersect
-  // the unions like ordinary postings. Keeps SEO-expanded TOSS queries as
-  // index-prunable as exact-match TAX queries.
-  for (const auto& group : hints.value_groups) {
-    std::vector<DocId> merged;
-    bool usable = true;
-    for (const auto& value : group.values) {
-      if (value.size() > 256) {
-        usable = false;  // unindexed long value: cannot prune soundly
-        break;
-      }
-      const std::vector<DocId>* p =
-          value_index_.Get(ValueKey(group.tag, value));
-      if (p != nullptr) merged.insert(merged.end(), p->begin(), p->end());
-    }
-    if (!usable) continue;
-    std::sort(merged.begin(), merged.end());
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    postings.push_back(std::move(merged));
   }
   // Range hints: scan the ordered indexes. Unsupported bound shapes
   // (non-integer numerics) simply do not prune.
@@ -405,6 +469,239 @@ Result<std::vector<Match>> Collection::QueryText(std::string_view xpath,
                                                  QueryStats* stats) const {
   TOSS_ASSIGN_OR_RETURN(xml::XPath compiled, xml::XPath::Compile(xpath));
   return Query(compiled, use_indexes, stats);
+}
+
+std::string PlanStep::ToString() const {
+  std::string out = "//" + tag;
+  for (const auto& group : any_of) {
+    std::string disjunction;
+    for (const auto& value : group) {
+      if (!disjunction.empty()) disjunction += " or ";
+      disjunction += ". = '" + value + "'";
+    }
+    out += group.size() > 1 ? "[(" + disjunction + ")]"
+                            : "[" + disjunction + "]";
+  }
+  for (const auto& bound : bounds) {
+    const char* op = bound.op == Order::kLt    ? "<"
+                     : bound.op == Order::kLeq ? "<="
+                     : bound.op == Order::kGt  ? ">"
+                                               : ">=";
+    out += std::string("[. ") + op + " '" + bound.literal + "']";
+  }
+  for (const auto& text : contains) out += "[contains(., '" + text + "')]";
+  return out;
+}
+
+struct Collection::StepPostings {
+  const std::set<DocId>* tagged = nullptr;  ///< null: no indexed document
+  /// With any-of groups: the postings of the 1-256 byte values that every
+  /// group holds (one element must equal a value of each group).
+  std::optional<std::vector<const std::vector<DocId>*>> values;
+  std::vector<std::vector<DocId>> ranges;   ///< range scans, ascending
+  std::vector<const std::set<DocId>*> words;  ///< enclosed-word postings
+  bool missing_word = false;  ///< some enclosed word is in no document
+  /// Documents the postings cannot decide (ascending): unclassifiable
+  /// tags, and for steps with predicates the tag's irregular documents.
+  std::vector<DocId> unsure;
+  /// The postings decide every document outside `unsure`.
+  bool exact = false;
+
+  /// `id` passes every posting (sound for documents outside `unsure`).
+  bool Regular(DocId id) const {
+    if (tagged == nullptr || !tagged->count(id) || missing_word) return false;
+    if (values.has_value() &&
+        std::none_of(values->begin(), values->end(), [id](const auto* p) {
+          return std::binary_search(p->begin(), p->end(), id);
+        })) {
+      return false;
+    }
+    for (const auto& range : ranges) {
+      if (!std::binary_search(range.begin(), range.end(), id)) return false;
+    }
+    return std::all_of(words.begin(), words.end(),
+                       [id](const auto* p) { return p->count(id) > 0; });
+  }
+  bool Unsure(DocId id) const {
+    return std::binary_search(unsure.begin(), unsure.end(), id);
+  }
+  bool Admits(DocId id) const { return Unsure(id) || Regular(id); }
+  bool NeedsCheck(DocId id) const { return !exact || Unsure(id); }
+
+  /// Upper bound on the admitted documents: the smallest posting.
+  size_t Estimate() const { return SmallestPosting(nullptr) + unsure.size(); }
+
+  /// Every admitted document, ascending: the smallest posting, filtered.
+  std::vector<DocId> Admitted() const {
+    std::vector<DocId> source;
+    SmallestPosting(&source);
+    std::erase_if(source, [this](DocId id) { return !Regular(id); });
+    return Union(source, unsure);
+  }
+
+ private:
+  /// The smallest posting's size; `out` (optional) receives its documents,
+  /// ascending.
+  size_t SmallestPosting(std::vector<DocId>* out) const {
+    if (tagged == nullptr || missing_word) return 0;
+    size_t best = tagged->size();
+    std::function<std::vector<DocId>()> take = [this] {
+      return ToList(*tagged);
+    };
+    auto consider = [&](size_t size, std::function<std::vector<DocId>()> f) {
+      if (size < best) {
+        best = size;
+        take = std::move(f);
+      }
+    };
+    if (values.has_value()) {
+      size_t size = 0;
+      for (const auto* p : *values) size += p->size();
+      consider(size, [this] {
+        std::vector<DocId> merged;
+        for (const auto* p : *values) {
+          merged.insert(merged.end(), p->begin(), p->end());
+        }
+        std::sort(merged.begin(), merged.end());
+        merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+        return merged;
+      });
+    }
+    for (const auto& range : ranges) {
+      consider(range.size(), [&range] { return range; });
+    }
+    for (const auto* p : words) {
+      consider(p->size(), [p] { return ToList(*p); });
+    }
+    if (out != nullptr) *out = take();
+    return best;
+  }
+};
+
+Collection::StepPostings Collection::Resolve(const PlanStep& step) const {
+  StepPostings out;
+  const std::optional<SymbolId> sym = Interner::Global().Find(step.tag);
+  if (sym.has_value()) {
+    auto it = tag_index_.find(*sym);
+    if (it != tag_index_.end()) out.tagged = &it->second;
+  }
+  out.unsure = DocsWithWildcardTag();
+  if (step.any_of.empty() && step.bounds.empty() && step.contains.empty()) {
+    // A bare tag step: its tag posting is its answer.
+    out.exact = true;
+    if (out.tagged != nullptr) {
+      std::erase_if(out.unsure,
+                    [&](DocId id) { return out.tagged->count(id) > 0; });
+    }
+    return out;
+  }
+  if (sym.has_value()) {
+    auto it = irregular_docs_.find(*sym);
+    if (it != irregular_docs_.end()) {
+      out.unsure = Union(out.unsure, ToList(it->second));
+    }
+  }
+  // Outside `unsure`, every `tag` element's content is 1-256 bytes, free of
+  // '*', and keyed as it is by the value index and the term index; so a
+  // step whose only predicates are any-of groups is exactly the union of
+  // the value postings of the values all its groups hold.
+  out.exact = step.bounds.empty() && step.contains.empty();
+  if (!step.any_of.empty()) {
+    std::vector<std::string> common = step.any_of[0];
+    std::sort(common.begin(), common.end());
+    for (size_t g = 1; g < step.any_of.size(); ++g) {
+      std::vector<std::string> group = step.any_of[g];
+      std::sort(group.begin(), group.end());
+      std::vector<std::string> both;
+      std::set_intersection(common.begin(), common.end(), group.begin(),
+                            group.end(), std::back_inserter(both));
+      common = std::move(both);
+    }
+    auto& postings = out.values.emplace();
+    for (const auto& value : common) {
+      if (value.empty() || value.size() > kMaxIndexedValue) continue;
+      if (const auto* p = value_index_.Get(ValueKey(step.tag, value))) {
+        postings.push_back(p);
+      }
+    }
+  }
+  for (const auto& bound : step.bounds) {
+    // Strict bounds relax to inclusive ones; non-integer numeric bounds
+    // cannot be scanned and do not prune.
+    std::optional<std::string> lo, hi;
+    if (bound.op == PlanStep::Order::kLt || bound.op == PlanStep::Order::kLeq) {
+      hi = bound.literal;
+    } else {
+      lo = bound.literal;
+    }
+    auto docs = DocsWithValueInRange(step.tag, lo, hi);
+    if (docs.ok()) out.ranges.push_back(std::move(docs).value());
+  }
+  for (const auto& text : step.contains) {
+    for (const auto& word : EnclosedWords(text)) {
+      auto it = term_index_.find(word);
+      if (it == term_index_.end()) {
+        out.missing_word = true;
+      } else {
+        out.words.push_back(&it->second);
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<DocId> Collection::PlanDocs(
+    const PushdownPlan& plan, QueryStats* stats,
+    std::vector<PlanStepStats>* step_stats) const {
+  std::vector<StepPostings> steps;
+  steps.reserve(plan.size());
+  std::vector<std::pair<size_t, size_t>> order;  // (estimate, step)
+  for (size_t i = 0; i < plan.size(); ++i) {
+    steps.push_back(Resolve(plan[i]));
+    order.emplace_back(steps.back().Estimate(), i);
+  }
+  std::stable_sort(
+      order.begin(), order.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Postings first, smallest step first: the first step enumerates its
+  // admitted documents, each later one filters the survivors by probing.
+  std::vector<DocId> docs = plan.empty() ? AllDocs() : std::vector<DocId>{};
+  std::vector<size_t> after(plan.size(), 0);
+  for (size_t k = 0; k < order.size(); ++k) {
+    const StepPostings& step = steps[order[k].second];
+    if (k == 0) {
+      docs = step.Admitted();
+    } else {
+      std::erase_if(docs, [&](DocId id) { return !step.Admits(id); });
+    }
+    after[order[k].second] = docs.size();
+  }
+  // Then the element checks, only on documents every step admitted, and
+  // only for the steps whose postings could not decide them.
+  size_t scanned = 0;
+  for (const auto& [estimate, i] : order) {
+    size_t checked = 0;
+    std::erase_if(docs, [&](DocId id) {
+      if (!steps[i].NeedsCheck(id)) return false;
+      ++checked;
+      return !StepMatches(docs_[id].doc, plan[i]);
+    });
+    scanned += checked;
+    if (step_stats != nullptr) {
+      step_stats->push_back({i, after[i], checked});
+    }
+  }
+  StoreMetrics& m = Instruments();
+  m.queries.Increment();
+  m.docs_scanned.Add(scanned);
+  if (!plan.empty()) m.index_pruned.Increment();
+  if (stats != nullptr) {
+    stats->candidate_docs = docs.size();
+    stats->scanned_docs = scanned;
+    stats->total_docs = by_key_.size();
+    stats->used_indexes = !plan.empty();
+  }
+  return docs;
 }
 
 Collection::Stats Collection::GetStats() const {

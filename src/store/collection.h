@@ -2,11 +2,18 @@
 // storage of the embedded XML database (the repository's Apache Xindice
 // substitute; see DESIGN.md "Substitutions").
 //
-// Query processing follows the classic plan: the planner intersects the
-// query's PlanHints against the tag / value / term indexes to obtain a
-// candidate document set, then evaluates the full XPath only on candidates.
-// QueryStats exposes how much the indexes pruned (ablation benches flip
-// `use_indexes` off to quantify this).
+// Two query entry points share the tag / value / term indexes:
+//
+//  * PlanDocs answers a typed PushdownPlan, the form pattern queries take
+//    in phase (ii) (DESIGN.md §6). Each step is answered from the postings
+//    where they decide it exactly; only documents that survive every
+//    step's postings are checked element by element, and only for the
+//    steps the postings could not decide.
+//  * Query / QueryText evaluate an XPath-lite expression: the planner
+//    intersects its PlanHints against the indexes to obtain candidate
+//    documents, then evaluates the full XPath on each candidate. QueryStats
+//    exposes how much the indexes pruned (ablation benches flip
+//    `use_indexes` off to quantify this).
 
 #ifndef TOSS_STORE_COLLECTION_H_
 #define TOSS_STORE_COLLECTION_H_
@@ -45,6 +52,41 @@ struct QueryStats {
   size_t scanned_docs = 0;    ///< documents actually evaluated
   size_t total_docs = 0;      ///< collection size at query time
   bool used_indexes = false;
+};
+
+/// One step of a pushdown plan: the document holds an element tagged `tag`
+/// whose content satisfies every predicate. Content is the element's own
+/// text (its direct text children, as tax::DataTree decodes it), and the
+/// predicates follow TAX evaluation -- equality where a '*' in the content
+/// globs, CompareScalar ordering, substring containment -- so a plan never
+/// drops a document that evaluation could match.
+struct PlanStep {
+  enum class Order { kLt, kLeq, kGt, kGeq };
+  struct Bound {
+    Order op = Order::kLt;
+    std::string literal;
+  };
+
+  std::string tag;
+  /// Any-of groups: the content equals at least one value of each group.
+  std::vector<std::vector<std::string>> any_of;
+  /// Ordering predicates: `content op literal`.
+  std::vector<Bound> bounds;
+  /// Substrings the content contains.
+  std::vector<std::string> contains;
+
+  /// XPath-style rendering for EXPLAIN, e.g. //year[. >= '1999'].
+  std::string ToString() const;
+};
+
+/// Phase (ii) of a pattern query: one step per labelled pattern node.
+using PushdownPlan = std::vector<PlanStep>;
+
+/// What one plan step cost (Collection::PlanDocs).
+struct PlanStepStats {
+  size_t step = 0;          ///< index into the plan
+  size_t candidates = 0;    ///< documents left after this step's postings
+  size_t checked_docs = 0;  ///< survivors checked element by element
 };
 
 class Collection {
@@ -93,6 +135,23 @@ class Collection {
                                        bool use_indexes = true,
                                        QueryStats* stats = nullptr) const;
 
+  /// Live documents satisfying every step of `plan`, ascending; every live
+  /// document when the plan is empty. Steps run smallest posting first.
+  /// A step is exact from the postings when it is a bare tag (its tag
+  /// posting) or its only predicates are any-of groups (the union of the
+  /// value postings of the values every group holds). Steps with ranges
+  /// or `contains` only prefilter. Documents whose elements the indexes do
+  /// not key faithfully for the tag (irregular content, wildcard or
+  /// unindexed tags) are never decided by postings. Such documents are
+  /// checked element by element, after every step's postings have been
+  /// intersected, so only survivors are touched. `stats->scanned_docs`
+  /// counts those checks; `step_stats` (optional) receives one entry per
+  /// step in execution order.
+  std::vector<DocId> PlanDocs(const PushdownPlan& plan,
+                              QueryStats* stats = nullptr,
+                              std::vector<PlanStepStats>* step_stats =
+                                  nullptr) const;
+
   /// Total serialized byte size of all live documents (the paper's
   /// "data size" axis). Sizes are recorded once at Insert/Replace time, so
   /// this is a cheap sum, not a re-serialization.
@@ -140,7 +199,9 @@ class Collection {
   Stats GetStats() const;
 
   /// Documents containing a `tag` element whose text content lies in
-  /// [lo, hi] (absent bound = open side). Ordering follows CompareScalar:
+  /// [lo, hi] (absent bound = open side), plus every document holding a
+  /// `tag` element whose content the ordered indexes do not key (empty,
+  /// longer than 256 bytes, or mixed content). Ordering follows CompareScalar:
   /// when every present bound parses as an integer the numeric index is
   /// scanned (only integer-valued contents can match); pure-string bounds
   /// scan the lexicographic index. Bounds parsing as non-integer numbers
@@ -160,7 +221,8 @@ class Collection {
   std::vector<DocId> DocsWithAnyTagIds(const std::vector<SymbolId>& tags) const;
 
   /// Live documents containing at least one element whose tag contains '*'
-  /// (such tags match any tag literal under glob equality), ascending.
+  /// (such tags match any tag literal under glob equality), plus the
+  /// documents with unindexed tags, ascending.
   std::vector<DocId> DocsWithWildcardTag() const;
 
  private:
@@ -177,6 +239,11 @@ class Collection {
   void IndexDocument(DocId id);
   void UnindexDocument(DocId id);
   void InvalidateCachedTree(DocId id);
+
+  /// One plan step resolved against the indexes, without materializing
+  /// its postings: candidates are probed against them instead.
+  struct StepPostings;
+  StepPostings Resolve(const PlanStep& step) const;
 
   /// Candidate docs per hints, or all live docs when hints give no leverage.
   std::vector<DocId> PlanCandidates(const xml::PlanHints& hints,
@@ -195,8 +262,16 @@ class Collection {
   // document. Documents carrying a tag the dictionary could not intern
   // (overflow) land in unindexed_tag_docs_ and are conservatively kept by
   // every tag-based pruning path.
+  //
+  // irregular_docs_[tag] holds the documents with a `tag` element whose own
+  // text (what evaluation compares) is empty, longer than 256 bytes,
+  // contains '*', or differs from its full text content (the value index
+  // key): for those the value and term postings cannot decide the element.
+  // wildcard_tag_docs_ holds documents with a '*' in some tag.
   std::unordered_map<SymbolId, std::set<DocId>> tag_index_;
   std::set<DocId> unindexed_tag_docs_;
+  std::unordered_map<SymbolId, std::set<DocId>> irregular_docs_;
+  std::set<DocId> wildcard_tag_docs_;
   std::map<std::string, std::set<DocId>> term_index_;
   BPlusTree value_index_;    // ValueKey(tag, content)
   BPlusTree numeric_index_;  // NumericKey(tag, content), integer contents

@@ -590,26 +590,6 @@ void CollectHints(const BoolExpr& e, const std::string& step_name,
   }
 }
 
-/// Matches a predicate of the shape (.='a' or .='b' or ...), optionally a
-/// single self-equality; fills `values` and returns true.
-bool MatchSelfEqualityDisjunction(const BoolExpr& e,
-                                  std::vector<std::string>* values) {
-  auto is_self_eq = [](const BoolExpr& p) {
-    return p.kind == BoolExpr::Kind::kPredicate &&
-           p.predicate.op == CompareOp::kEquals && p.predicate.path.is_self;
-  };
-  if (is_self_eq(e)) {
-    values->push_back(e.predicate.literal);
-    return true;
-  }
-  if (e.kind != BoolExpr::Kind::kOr) return false;
-  for (const auto& child : e.children) {
-    if (!is_self_eq(*child)) return false;
-    values->push_back(child->predicate.literal);
-  }
-  return !values->empty();
-}
-
 }  // namespace
 
 PlanHints XPath::Hints() const {
@@ -618,13 +598,6 @@ PlanHints XPath::Hints() const {
     if (step.name != "*") hints.required_tags.push_back(step.name);
     for (const auto& pred : step.predicates) {
       if (pred.expr == nullptr) continue;  // positional: no MUST facts
-      std::vector<std::string> any_of;
-      if (step.name != "*" &&
-          MatchSelfEqualityDisjunction(*pred.expr, &any_of) &&
-          any_of.size() > 1) {
-        hints.value_groups.push_back({step.name, std::move(any_of)});
-        continue;  // the group subsumes this predicate's MUST facts
-      }
       CollectHints(*pred.expr, step.name, &hints);
     }
   }

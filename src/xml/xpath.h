@@ -51,16 +51,6 @@ struct PlanHints {
   std::vector<std::pair<std::string, std::string>> required_values;
   /// Lowercased word tokens that must appear in some text content.
   std::vector<std::string> required_terms;
-  /// Disjunctive groups: the document must contain a `tag` element whose
-  /// text equals AT LEAST ONE of the listed values. Produced by predicates
-  /// of the form [(. = 'a' or . = 'b' or ...)] -- exactly the shape TOSS
-  /// query rewriting emits for SEO term expansions, so expanded queries
-  /// stay index-prunable (union of value postings).
-  struct AnyOfValues {
-    std::string tag;
-    std::vector<std::string> values;
-  };
-  std::vector<AnyOfValues> value_groups;
   /// Ordering facts from comparison predicates ([. >= '1998'], [year <=
   /// '2000']): the document must contain a `tag` element whose content is
   /// within [lo, hi] under CompareScalar ordering (absent side = open).

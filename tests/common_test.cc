@@ -4,6 +4,7 @@
 #include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/cancel.h"
@@ -314,9 +315,18 @@ TEST(WorkerPoolTest, RunsEveryIndexOnce) {
 TEST(WorkerPoolTest, FirstErrorAbortsAndPoolStaysUsable) {
   WorkerPool pool(4);
   std::atomic<size_t> ran{0};
+  std::atomic<bool> task3_ran{false};
   Status st = pool.ParallelFor(10'000, [&](size_t i) {
     ran.fetch_add(1);
-    if (i == 3) return Status::IOError("task 3 failed");
+    if (i == 3) {
+      task3_ran.store(true);
+      return Status::IOError("task 3 failed");
+    }
+    // Later tasks wait for task 3, so the other workers cannot drain the
+    // range while the worker holding index 3 is descheduled. The cursor
+    // hands out indexes in increasing order, so index 3 is always claimed
+    // and this cannot deadlock.
+    while (i > 3 && !task3_ran.load()) std::this_thread::yield();
     return Status::OK();
   });
   ASSERT_TRUE(st.IsIOError()) << st;
@@ -437,6 +447,44 @@ TEST(JsonTest, RejectsMalformedInput) {
     ASSERT_FALSE(r.ok()) << "accepted raw control byte: " << bad;
     EXPECT_TRUE(r.status().IsParseError()) << bad;
   }
+  // RFC 8259 numbers: no plus sign, no leading zeros, digits on both sides
+  // of the point, digits in the exponent.
+  for (const char* bad : {"+1", "01", "-01", ".5", "5.", "-", "1e", "1e+",
+                          "[1.e5]", "{\"n\":-.5}", "0x10"}) {
+    auto r = JsonValue::Parse(bad);
+    ASSERT_FALSE(r.ok()) << "accepted malformed number: " << bad;
+    EXPECT_TRUE(r.status().IsParseError()) << bad;
+  }
+  // Lone, reversed or broken surrogate escapes.
+  for (const char* bad : {"\"\\ud83d\"", "\"\\ude00\"", "\"\\ude00\\ud83d\"",
+                          "\"\\ud83dx\"", "\"\\ud83d\\u0041\""}) {
+    auto r = JsonValue::Parse(bad);
+    ASSERT_FALSE(r.ok()) << "accepted unpaired surrogate: " << bad;
+    EXPECT_TRUE(r.status().IsParseError()) << bad;
+  }
+}
+
+TEST(JsonTest, ParsesRfc8259Numbers) {
+  using common::JsonValue;
+  const std::pair<const char*, double> kCases[] = {
+      {"0", 0.0},      {"-0", 0.0},     {"10", 10.0},   {"-7", -7.0},
+      {"0.5", 0.5},    {"1.5e3", 1500}, {"2E-2", 0.02}, {"-1.25e+1", -12.5}};
+  for (const auto& [text, want] : kCases) {
+    auto r = JsonValue::Parse(text);
+    ASSERT_TRUE(r.ok()) << text << ": " << r.status();
+    EXPECT_DOUBLE_EQ(r->AsDouble(), want) << text;
+  }
+}
+
+TEST(JsonTest, EscapedSurrogatePairDecodesToUtf8) {
+  // U+1F600, as Python's json.dumps escapes it by default.
+  auto r = common::JsonValue::Parse("\"a\\ud83d\\ude00b\"");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->AsString(), "a\xF0\x9F\x98\x80" "b");
+  // BMP escapes keep their 1-3 byte forms.
+  auto bmp = common::JsonValue::Parse("\"\\u00e9\\u20ac\"");
+  ASSERT_TRUE(bmp.ok()) << bmp.status();
+  EXPECT_EQ(bmp->AsString(), "\xC3\xA9\xE2\x82\xAC");
 }
 
 TEST(JsonTest, DepthBounded) {

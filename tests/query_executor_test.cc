@@ -161,13 +161,15 @@ TEST_F(QueryExecutorTest, ProjectReturnsMatchedSubtrees) {
 TEST_F(QueryExecutorTest, RewritePushesDownExpandedTerms) {
   QueryExecutor toss_exec(&db_, &seo_, &types_);
   size_t expanded = 0;
-  auto xpaths = toss_exec.RewriteToXPaths(UllmanAtSigmod(), {}, &expanded);
-  ASSERT_TRUE(xpaths.ok()) << xpaths.status();
-  ASSERT_EQ(xpaths->size(), 3u);  // one per tagged label
+  auto plan = toss_exec.RewriteToPlan(UllmanAtSigmod(), {}, &expanded);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->size(), 3u);  // one step per tagged label
   EXPECT_GT(expanded, 2u);
   bool has_disjunction = false;
-  for (const auto& xp : *xpaths) {
-    if (xp.find(" or ") != std::string::npos) has_disjunction = true;
+  for (const store::PlanStep& step : *plan) {
+    for (const auto& group : step.any_of) {
+      if (group.size() >= 2) has_disjunction = true;
+    }
   }
   EXPECT_TRUE(has_disjunction);
 }

@@ -2,12 +2,14 @@
 // (a) answer exactly like the legacy per-operator wrappers, including under
 // concurrent mixed load; (b) shed with ResourceExhausted when saturated;
 // (c) honor deadlines and cancellation mid-query; and (d) reuse phase (i)
-// rewrites through the prepared-query cache until SwapSeo invalidates them.
+// plans through the prepared-query cache until SwapSeo invalidates them,
+// across writes.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -366,6 +368,49 @@ TEST_F(ServiceTest, PreparedCacheHitsOnRepeatAndInvalidatesOnSwap) {
   auto want = fresh.Select("dblp", q.pattern, q.sl, core::QueryOptions{});
   ASSERT_TRUE(want.ok()) << want.status();
   ExpectSameTrees(*want, after.trees, "post-swap answers");
+}
+
+// A plan depends on the pattern and the SEO, not on the stored documents:
+// a write keeps the cached plan, and the cached plan sees the write.
+TEST(ServiceMutationTest, PreparedPlanSurvivesReplaceAndSeesIt) {
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::temp_directory_path() / "toss_service_prepared_replace").string();
+  fs::remove_all(dir);
+  auto db = store::Database::OpenDurable(dir, store::Env::Default());
+  ASSERT_TRUE(db.ok()) << db.status();
+  TossService svc(&*db, nullptr, nullptr);
+  ASSERT_TRUE(svc.Run(QueryRequest::Insert(
+                          "lib", "a", "<paper><author>Ann</author></paper>"))
+                  .ok());
+  ASSERT_TRUE(svc.Run(QueryRequest::Insert(
+                          "lib", "b", "<paper><author>Bob</author></paper>"))
+                  .ok());
+  tax::PatternTree pt;
+  int root = pt.AddRoot();
+  pt.AddChild(root, tax::EdgeKind::kPc);
+  pt.SetCondition(tax::ParseCondition("$1.tag = \"paper\" & "
+                                      "$2.tag = \"author\" & "
+                                      "$2.content = \"Ann\"")
+                      .value());
+
+  QueryResponse first = svc.Run(QueryRequest::Select("lib", pt, {1}));
+  ASSERT_TRUE(first.ok()) << first.status;
+  EXPECT_FALSE(first.prepared_cache_hit);
+  EXPECT_EQ(first.trees.size(), 1u);
+
+  ASSERT_TRUE(svc.Run(QueryRequest::Replace(
+                          "lib", "b",
+                          "<paper><author>Ann</author><year>2004</year>"
+                          "</paper>"))
+                  .ok());
+  EXPECT_EQ(svc.PreparedCacheStats().entries, 1u);
+  QueryResponse after = svc.Run(QueryRequest::Select("lib", pt, {1}));
+  ASSERT_TRUE(after.ok()) << after.status;
+  EXPECT_TRUE(after.prepared_cache_hit);
+  EXPECT_EQ(after.trees.size(), 2u) << "the replaced document matches now";
+  EXPECT_EQ(after.stats.candidate_docs, 2u);
+  fs::remove_all(dir);
 }
 
 TEST_F(ServiceTest, TracedRunReturnsSameTreesPlusTrace) {

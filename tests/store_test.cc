@@ -107,6 +107,69 @@ TEST(CollectionTest, RemoveHidesDocument) {
   EXPECT_EQ(coll.AllDocs().size(), 2u);
 }
 
+// The pushdown plan (Collection::PlanDocs): which steps the postings
+// decide, and which documents need an element check.
+TEST(CollectionTest, PlanDocsChecksOnlyWhatPostingsCannotDecide) {
+  Collection coll("papers");
+  for (const char* xml :
+       {"<paper><venue>VLDB</venue><year>1999</year></paper>",
+        "<paper><venue>SIGMOD</venue><year>2000</year></paper>",
+        "<paper><venue>VLDB</venue><year>2001</year></paper>",
+        // Mixed content: the venue's own text is "Views", its full text
+        // "Viewsx"; the value index keys only the latter.
+        "<paper><venue>Views<i>x</i></venue></paper>"}) {
+    ASSERT_TRUE(coll.InsertXml("p" + std::to_string(coll.size()), xml).ok());
+  }
+  auto run = [&](const PushdownPlan& plan, QueryStats* stats,
+                 std::vector<PlanStepStats>* steps = nullptr) {
+    return coll.PlanDocs(plan, stats, steps);
+  };
+
+  // Two any-of groups on one element: a value both hold. Only the
+  // mixed-content document needs a check.
+  PlanStep venue;
+  venue.tag = "venue";
+  venue.any_of = {{"VLDB", "SIGMOD"}, {"VLDB", "ICDE"}};
+  QueryStats stats;
+  std::vector<PlanStepStats> steps;
+  EXPECT_EQ(run({venue}, &stats, &steps), (std::vector<DocId>{0, 2}));
+  EXPECT_EQ(stats.scanned_docs, 1u);
+  ASSERT_EQ(steps.size(), 1u);
+  EXPECT_EQ(steps[0].checked_docs, 1u);
+
+  // The element check compares the element's own text.
+  venue.any_of = {{"Views"}};
+  EXPECT_EQ(run({venue}, &stats), (std::vector<DocId>{3}));
+  EXPECT_EQ(stats.scanned_docs, 1u);
+
+  // A bare tag step is its posting; a range only prefilters, and the
+  // survivors are checked after the smaller step ran.
+  PlanStep paper;
+  paper.tag = "paper";
+  PlanStep year;
+  year.tag = "year";
+  year.bounds = {{PlanStep::Order::kGt, "1999"}};
+  steps.clear();
+  EXPECT_EQ(run({paper, year}, &stats, &steps), (std::vector<DocId>{1, 2}));
+  EXPECT_EQ(stats.scanned_docs, 3u);  // 1999 to 2001: the scan is inclusive
+  ASSERT_EQ(steps.size(), 2u);
+  EXPECT_EQ(steps[0].step, 1u);  // the year step admits fewer documents
+  EXPECT_EQ(steps[1].step, 0u);
+  EXPECT_EQ(steps[1].checked_docs, 0u);
+
+  // Exact steps touch only the documents their postings cannot describe:
+  // here the mixed-content one. A plan without such documents touches
+  // none; an empty plan admits all.
+  venue.any_of = {{"SIGMOD"}};
+  EXPECT_EQ(run({paper, venue}, &stats), (std::vector<DocId>{1}));
+  EXPECT_EQ(stats.scanned_docs, 1u);
+  year.bounds.clear();
+  year.any_of = {{"2000", "2001"}};
+  EXPECT_EQ(run({paper, year}, &stats), (std::vector<DocId>{1, 2}));
+  EXPECT_EQ(stats.scanned_docs, 0u);
+  EXPECT_EQ(run({}, &stats).size(), 4u);
+}
+
 TEST(CollectionTest, DocsWithValueInRange) {
   Collection coll("papers");
   for (int year = 1995; year <= 2003; ++year) {

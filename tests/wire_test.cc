@@ -112,6 +112,34 @@ TEST(WireReject, NonJsonIsParseError) {
   ExpectRejected(
       "{\"op\": \"remove\", \"collection\": \"c\", \"key\": \"a\tb\"}",
       StatusCode::kParseError);
+  // Numbers outside the RFC 8259 grammar are malformed JSON, not options.
+  for (const char* number : {"05", "+5", ".5", "5.", "5e"}) {
+    ExpectRejected(std::string("{\"op\": \"remove\", \"collection\": \"c\", "
+                               "\"key\": \"k\", \"options\": "
+                               "{\"deadline_ms\": ") +
+                       number + "}}",
+                   StatusCode::kParseError);
+  }
+  // So is an escaped surrogate without its partner.
+  ExpectRejected(
+      "{\"op\": \"remove\", \"collection\": \"c\", \"key\": \"\\ud83d\"}",
+      StatusCode::kParseError);
+}
+
+TEST(WireRequest, EscapedNonBmpTextDecodesToUtf8) {
+  // A client that escapes non-BMP characters (Python's json.dumps does by
+  // default) must reach the same stored UTF-8 text as one that does not.
+  auto escaped = ParseRequestText(
+      "{\"op\": \"remove\", \"collection\": \"c\", "
+      "\"key\": \"\\ud83d\\ude00\"}");
+  ASSERT_TRUE(escaped.ok()) << escaped.status();
+  auto raw = ParseRequestText(
+      "{\"op\": \"remove\", \"collection\": \"c\", "
+      "\"key\": \"\xF0\x9F\x98\x80\"}");
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  EXPECT_EQ(std::get<RemoveSpec>(escaped->op).key, "\xF0\x9F\x98\x80");
+  EXPECT_EQ(std::get<RemoveSpec>(escaped->op).key,
+            std::get<RemoveSpec>(raw->op).key);
 }
 
 TEST(WireReject, NonObjectIsInvalidArgument) {
