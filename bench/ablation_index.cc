@@ -1,8 +1,12 @@
-// Ablation: the store's index-backed document pruning on vs off, for the
-// three plan-hint classes (value equality, term containment, tag
-// existence). Validates the planner design called out in DESIGN.md.
+// Ablation: the store's index-backed document pruning on vs off, for three
+// pushdown plans (value equality, term containment, tag only). "Indexed"
+// runs Collection::PlanDocs; "Scan" checks every live document with the
+// plan's own element check (store::StepMatches). Validates the postings
+// design called out in DESIGN.md §6.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "bench/bench_util.h"
 
@@ -33,34 +37,77 @@ Fixture& GetFixture() {
   return fixture;
 }
 
-void RunQuery(benchmark::State& state, const char* xpath,
-              bool use_indexes) {
-  auto& f = GetFixture();
-  auto compiled = xml::XPath::Compile(xpath);
-  bench::CheckOk(compiled.status(), "compile");
+store::PlanStep Step(std::string tag) {
+  store::PlanStep step;
+  step.tag = std::move(tag);
+  return step;
+}
+
+// //inproceedings[booktitle='VLDB'][year='1999'] as typed steps.
+store::PushdownPlan ValueEquality() {
+  store::PlanStep booktitle = Step("booktitle");
+  booktitle.any_of = {{"VLDB"}};
+  store::PlanStep year = Step("year");
+  year.any_of = {{"1999"}};
+  return {Step("inproceedings"), booktitle, year};
+}
+
+// Only the words a literal encloses prune ("Semistructured" here): a
+// containing title may hold its first and last word inside longer words.
+store::PushdownPlan TermContains() {
+  store::PlanStep title = Step("title");
+  title.contains = {"for Semistructured Data"};
+  return {title};
+}
+
+store::PushdownPlan TagOnly() { return {Step("booktitle")}; }
+
+/// The plan's answer without indexes: every live document whose elements
+/// satisfy every step.
+std::vector<store::DocId> ScanDocs(const store::Collection& coll,
+                                   const store::PushdownPlan& plan) {
+  std::vector<store::DocId> docs;
+  for (store::DocId id : coll.AllDocs()) {
+    if (std::all_of(plan.begin(), plan.end(),
+                    [&](const store::PlanStep& step) {
+                      return store::StepMatches(coll.document(id), step);
+                    })) {
+      docs.push_back(id);
+    }
+  }
+  return docs;
+}
+
+void RunPlan(benchmark::State& state, const store::PushdownPlan& plan,
+             bool use_indexes) {
+  const store::Collection& coll = *GetFixture().coll;
+  if (coll.PlanDocs(plan) != ScanDocs(coll, plan)) {
+    bench::CheckOk(Status::Internal("indexed and scanned answers differ"),
+                   "plan");
+  }
   for (auto _ : state) {
-    auto matches = f.coll->Query(*compiled, use_indexes, nullptr);
-    benchmark::DoNotOptimize(matches.size());
+    auto docs = use_indexes ? coll.PlanDocs(plan) : ScanDocs(coll, plan);
+    benchmark::DoNotOptimize(docs.size());
   }
 }
 
 void BM_ValueEquality_Indexed(benchmark::State& state) {
-  RunQuery(state, "//inproceedings[booktitle='VLDB'][year='1999']", true);
+  RunPlan(state, ValueEquality(), true);
 }
 void BM_ValueEquality_Scan(benchmark::State& state) {
-  RunQuery(state, "//inproceedings[booktitle='VLDB'][year='1999']", false);
+  RunPlan(state, ValueEquality(), false);
 }
 void BM_TermContains_Indexed(benchmark::State& state) {
-  RunQuery(state, "//title[contains(., 'Semistructured')]", true);
+  RunPlan(state, TermContains(), true);
 }
 void BM_TermContains_Scan(benchmark::State& state) {
-  RunQuery(state, "//title[contains(., 'Semistructured')]", false);
+  RunPlan(state, TermContains(), false);
 }
 void BM_TagOnly_Indexed(benchmark::State& state) {
-  RunQuery(state, "//booktitle", true);
+  RunPlan(state, TagOnly(), true);
 }
 void BM_TagOnly_Scan(benchmark::State& state) {
-  RunQuery(state, "//booktitle", false);
+  RunPlan(state, TagOnly(), false);
 }
 
 BENCHMARK(BM_ValueEquality_Indexed);

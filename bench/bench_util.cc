@@ -68,11 +68,7 @@ namespace {
 
 std::string BenchJsonPath() {
   if (const char* p = std::getenv("TOSS_BENCH_JSON")) return p;
-#ifdef TOSS_REPO_ROOT
-  return std::string(TOSS_REPO_ROOT) + "/BENCH_PR10.json";
-#else
-  return "BENCH_PR10.json";
-#endif
+  return TOSS_BENCH_REPORT;
 }
 
 /// Read-merge-write of the flat bench report. A report that is not a JSON

@@ -28,8 +28,9 @@ bool SmokeMode();
 
 /// Merges {`name`: `median_ms`} into the machine-readable bench report --
 /// a flat JSON object of bench name -> median wall milliseconds, written
-/// to BENCH_PR10.json at the repo root (override the path with the
-/// TOSS_BENCH_JSON environment variable). Re-recording a name overwrites
+/// at the repo root under the name TOSS_BENCH_REPORT sets in
+/// bench/CMakeLists.txt (override the path with the TOSS_BENCH_JSON
+/// environment variable). Re-recording a name overwrites
 /// its value; entries from other benches are preserved. At process exit
 /// the final obs::Metrics() snapshot is merged in too, as flat
 /// "metrics/<name>" keys (histograms flatten to count/mean_ms/p99_ms).

@@ -60,7 +60,7 @@ bool ParseDouble(std::string_view s, double* out);
 bool GlobMatch(std::string_view pattern, std::string_view s);
 
 /// Ordering of two scalar-ish strings, used by every ordering comparison in
-/// the query layers (TAX conditions, XPath-lite predicates) and mirrored by
+/// the query layers (TAX conditions, pushdown plan bounds) and mirrored by
 /// the store's ordered indexes so range pushdown is sound:
 ///  * both parse as integers            -> integer order
 ///  * both parse as doubles (not ints)  -> double order

@@ -579,7 +579,7 @@ Result<std::vector<store::DocId>> QueryExecutor::CandidateDocs(
     store_span.Annotate("docs_scanned",
                         static_cast<uint64_t>(qstats.scanned_docs));
     store_span.Annotate("docs_total", static_cast<uint64_t>(qstats.total_docs));
-    store_span.Annotate("index_used", qstats.used_indexes ? "true" : "false");
+    store_span.Annotate("index_used", plan.empty() ? "false" : "true");
     const size_t scan_budget = qstats.total_docs * plan.size();
     if (scan_budget > 0) {
       // Fraction of the naive per-step element checks the indexes saved.

@@ -90,8 +90,8 @@ bool ContentSatisfies(const std::string& content, const PlanStep& step) {
   return true;
 }
 
-/// The element check: some element of `doc` matches the step's tag (glob-
-/// aware, as tag equality evaluates) and satisfies all its predicates.
+}  // namespace
+
 bool StepMatches(const xml::XmlDocument& doc, const PlanStep& step) {
   for (xml::NodeId id = 0; id < doc.size(); ++id) {
     const xml::XmlNode& n = doc.node(id);
@@ -104,8 +104,6 @@ bool StepMatches(const xml::XmlDocument& doc, const PlanStep& step) {
   }
   return false;
 }
-
-}  // namespace
 
 // Moves transfer the counters and zero the source: a moved-from collection
 // no longer backs the cache whose activity they measured, so letting it keep
@@ -166,7 +164,7 @@ Result<DocId> Collection::Insert(std::string key, xml::XmlDocument doc) {
   docs_.push_back({key, std::move(doc), true});
   docs_[id].serialized_bytes = xml::Write(docs_[id].doc).size();
   by_key_[std::move(key)] = id;
-  IndexDocument(id);
+  UpdatePostings(id, /*add=*/true);
   return id;
 }
 
@@ -181,7 +179,7 @@ Status Collection::Remove(const std::string& key) {
     return Status::NotFound("no document with key '" + key + "'");
   }
   DocId id = it->second;
-  UnindexDocument(id);
+  UpdatePostings(id, /*add=*/false);
   docs_[id].live = false;
   InvalidateCachedTree(id);
   by_key_.erase(it);
@@ -198,14 +196,14 @@ Result<DocId> Collection::Replace(const std::string& key,
     return Status::NotFound("no document with key '" + key + "'");
   }
   DocId old = it->second;
-  UnindexDocument(old);
+  UpdatePostings(old, /*add=*/false);
   docs_[old].live = false;
   InvalidateCachedTree(old);
   DocId id = static_cast<DocId>(docs_.size());
   docs_.push_back({key, std::move(doc), true});
   docs_[id].serialized_bytes = xml::Write(docs_[id].doc).size();
   it->second = id;
-  IndexDocument(id);
+  UpdatePostings(id, /*add=*/true);
   return id;
 }
 
@@ -225,64 +223,69 @@ std::vector<DocId> Collection::AllDocs() const {
   return out;
 }
 
-void Collection::IndexDocument(DocId id) {
-  Entry& entry = docs_[id];
-  const xml::XmlDocument& doc = entry.doc;
+void Collection::UpdatePostings(DocId id, bool add) {
+  const xml::XmlDocument& doc = docs_[id].doc;
+  Interner& interner = Interner::Global();
+  // Adds `id` to index[key], or erases it and drops the emptied posting.
+  auto update = [&](auto& index, const auto& key) {
+    if (add) {
+      index[key].insert(id);
+      return;
+    }
+    auto it = index.find(key);
+    if (it == index.end()) return;
+    it->second.erase(id);
+    if (it->second.empty()) index.erase(it);
+  };
+  if (!add) {
+    unindexed_tag_docs_.erase(id);
+    wildcard_tag_docs_.erase(id);
+  }
   std::vector<xml::NodeId> elements{doc.root()};
   auto descendants = doc.ElementDescendants(doc.root());
   elements.insert(elements.end(), descendants.begin(), descendants.end());
   for (xml::NodeId nid : elements) {
     const auto& n = doc.node(nid);
-    // Tags join the process dictionary here; the tag index is id-keyed.
-    // Dictionary overflow (2^26 terms) degrades to the conservative
-    // unindexed set instead of corrupting a shared kInvalidSymbol bucket.
-    SymbolId tag_sym = Interner::Global().Intern(n.tag);
-    if (tag_sym != kInvalidSymbol) {
-      tag_index_[tag_sym].insert(id);
-    } else {
+    // Tags join the process dictionary when indexed; the tag index is
+    // id-keyed. Dictionary overflow (2^26 terms) degrades to the
+    // conservative unindexed set instead of corrupting a shared
+    // kInvalidSymbol bucket. Ids are never reused, so removal finds the
+    // same id (or none) without growing the dictionary.
+    std::optional<SymbolId> tag_sym;
+    if (!add) {
+      tag_sym = interner.Find(n.tag);
+    } else if (SymbolId sym = interner.Intern(n.tag); sym != kInvalidSymbol) {
+      tag_sym = sym;
+    }
+    if (tag_sym.has_value()) {
+      update(tag_index_, *tag_sym);
+    } else if (add) {
       unindexed_tag_docs_.insert(id);
     }
-    if (Contains(n.tag, "*")) wildcard_tag_docs_.insert(id);
+    if (add && Contains(n.tag, "*")) wildcard_tag_docs_.insert(id);
     // Value indexes: the element's text content (leaf-style values).
-    std::string content = doc.TextContent(nid);
+    const std::string content = doc.TextContent(nid);
     const std::string own = OwnText(doc, nid);
-    if (tag_sym != kInvalidSymbol &&
+    if (tag_sym.has_value() &&
         (own != content || own.empty() || own.size() > kMaxIndexedValue ||
          Contains(own, "*"))) {
-      irregular_docs_[tag_sym].insert(id);
+      update(irregular_docs_, *tag_sym);
     }
     if (!content.empty() && content.size() <= kMaxIndexedValue) {
-      std::string vkey = ValueKey(n.tag, content);
-      value_index_.Insert(vkey, id);
-      entry.value_keys.push_back(std::move(vkey));
-      if (auto nkey = NumericKey(n.tag, content); nkey.has_value()) {
-        numeric_index_.Insert(*nkey, id);
-        entry.numeric_keys.push_back(std::move(*nkey));
+      // The B+-trees keep one posting per (key, document), so a key two
+      // elements share is inserted once and its second removal is a no-op.
+      const std::string vkey = ValueKey(n.tag, content);
+      const std::optional<std::string> nkey = NumericKey(n.tag, content);
+      if (add) {
+        value_index_.Insert(vkey, id);
+        if (nkey.has_value()) numeric_index_.Insert(*nkey, id);
+      } else {
+        (void)value_index_.Remove(vkey, id);
+        if (nkey.has_value()) (void)numeric_index_.Remove(*nkey, id);
       }
     }
-    for (const auto& tok : TokenizeWords(content)) {
-      term_index_[tok].insert(id);
-    }
+    for (const auto& tok : TokenizeWords(content)) update(term_index_, tok);
   }
-}
-
-void Collection::UnindexDocument(DocId id) {
-  // Tag/term postings are erased by sweep (removal is rare); the ordered
-  // indexes use the per-document key log recorded at index time.
-  for (auto& [tag, postings] : tag_index_) postings.erase(id);
-  unindexed_tag_docs_.erase(id);
-  for (auto& [tag, docs] : irregular_docs_) docs.erase(id);
-  wildcard_tag_docs_.erase(id);
-  for (auto& [term, postings] : term_index_) postings.erase(id);
-  Entry& entry = docs_[id];
-  for (const auto& key : entry.value_keys) {
-    (void)value_index_.Remove(key, id);
-  }
-  for (const auto& key : entry.numeric_keys) {
-    (void)numeric_index_.Remove(key, id);
-  }
-  entry.value_keys.clear();
-  entry.numeric_keys.clear();
 }
 
 Result<std::vector<DocId>> Collection::DocsWithValueInRange(
@@ -338,27 +341,10 @@ Result<std::vector<DocId>> Collection::DocsWithValueInRange(
   return out;
 }
 
-std::vector<DocId> Collection::DocsWithAnyTag(
-    const std::set<std::string>& tags) const {
-  // Tag postings hold live docs only (UnindexDocument sweeps them), so the
-  // union needs no liveness re-check. A tag absent from the dictionary is
-  // in no indexed document.
-  std::set<DocId> docs(unindexed_tag_docs_.begin(),
-                       unindexed_tag_docs_.end());
-  Interner& interner = Interner::Global();
-  for (const std::string& tag : tags) {
-    auto sym = interner.Find(tag);
-    if (!sym.has_value()) continue;
-    auto it = tag_index_.find(*sym);
-    if (it != tag_index_.end()) {
-      docs.insert(it->second.begin(), it->second.end());
-    }
-  }
-  return {docs.begin(), docs.end()};
-}
-
 std::vector<DocId> Collection::DocsWithAnyTagIds(
     const std::vector<SymbolId>& tags) const {
+  // Tag postings hold live docs only (removal erases them), so the union
+  // needs no liveness re-check.
   std::set<DocId> docs(unindexed_tag_docs_.begin(),
                        unindexed_tag_docs_.end());
   for (SymbolId tag : tags) {
@@ -372,103 +358,6 @@ std::vector<DocId> Collection::DocsWithAnyTagIds(
 
 std::vector<DocId> Collection::DocsWithWildcardTag() const {
   return Union(ToList(wildcard_tag_docs_), ToList(unindexed_tag_docs_));
-}
-
-std::vector<DocId> Collection::PlanCandidates(const xml::PlanHints& hints,
-                                              bool* pruned) const {
-  *pruned = false;
-  // Materialize a sorted doc-id list per usable hint; missing posting = no
-  // possible match. Intersection starts from the smallest list.
-  std::vector<std::vector<DocId>> postings;
-  for (const auto& tag : hints.required_tags) {
-    // Id-keyed index: unknown tag = empty posting. Docs whose tags could
-    // not be interned are unclassifiable and must stay candidates.
-    std::vector<DocId> p(unindexed_tag_docs_.begin(),
-                         unindexed_tag_docs_.end());
-    if (auto sym = Interner::Global().Find(tag)) {
-      auto it = tag_index_.find(*sym);
-      if (it != tag_index_.end()) {
-        p.insert(p.end(), it->second.begin(), it->second.end());
-        std::sort(p.begin(), p.end());
-        p.erase(std::unique(p.begin(), p.end()), p.end());
-      }
-    }
-    postings.emplace_back(std::move(p));
-  }
-  for (const auto& [tag, value] : hints.required_values) {
-    // Value index only covers short leaf values; skip long ones (the tag
-    // hint still applies).
-    if (value.size() > kMaxIndexedValue) continue;
-    const std::vector<DocId>* p = value_index_.Get(ValueKey(tag, value));
-    postings.emplace_back(p == nullptr ? std::vector<DocId>{} : *p);
-  }
-  for (const auto& term : hints.required_terms) {
-    auto it = term_index_.find(term);
-    postings.emplace_back(it == term_index_.end()
-                              ? std::vector<DocId>{}
-                              : std::vector<DocId>(it->second.begin(),
-                                                   it->second.end()));
-  }
-  // Range hints: scan the ordered indexes. Unsupported bound shapes
-  // (non-integer numerics) simply do not prune.
-  for (const auto& range : hints.ranges) {
-    auto docs = DocsWithValueInRange(range.tag, range.lo, range.hi);
-    if (docs.ok()) postings.push_back(std::move(docs).value());
-  }
-  if (postings.empty()) return AllDocs();
-  *pruned = true;
-  std::sort(postings.begin(), postings.end(),
-            [](const auto& a, const auto& b) { return a.size() < b.size(); });
-  std::vector<DocId> result = std::move(postings[0]);
-  for (size_t i = 1; i < postings.size() && !result.empty(); ++i) {
-    std::vector<DocId> next;
-    next.reserve(result.size());
-    std::set_intersection(result.begin(), result.end(),
-                          postings[i].begin(), postings[i].end(),
-                          std::back_inserter(next));
-    result = std::move(next);
-  }
-  // Deleted docs keep stale ids out via the live check in Query.
-  return result;
-}
-
-std::vector<Match> Collection::Query(const xml::XPath& xpath,
-                                     bool use_indexes,
-                                     QueryStats* stats) const {
-  std::vector<DocId> candidates;
-  bool pruned = false;
-  if (use_indexes) {
-    candidates = PlanCandidates(xpath.Hints(), &pruned);
-  } else {
-    candidates = AllDocs();
-  }
-  std::vector<Match> out;
-  size_t scanned = 0;
-  for (DocId id : candidates) {
-    if (id >= docs_.size() || !docs_[id].live) continue;
-    ++scanned;
-    for (xml::NodeId nid : xpath.Evaluate(docs_[id].doc)) {
-      out.push_back({id, nid});
-    }
-  }
-  StoreMetrics& m = Instruments();
-  m.queries.Increment();
-  m.docs_scanned.Add(scanned);
-  if (use_indexes && pruned) m.index_pruned.Increment();
-  if (stats != nullptr) {
-    stats->candidate_docs = candidates.size();
-    stats->scanned_docs = scanned;
-    stats->total_docs = by_key_.size();
-    stats->used_indexes = use_indexes && pruned;
-  }
-  return out;
-}
-
-Result<std::vector<Match>> Collection::QueryText(std::string_view xpath,
-                                                 bool use_indexes,
-                                                 QueryStats* stats) const {
-  TOSS_ASSIGN_OR_RETURN(xml::XPath compiled, xml::XPath::Compile(xpath));
-  return Query(compiled, use_indexes, stats);
 }
 
 std::string PlanStep::ToString() const {
@@ -699,7 +588,6 @@ std::vector<DocId> Collection::PlanDocs(
     stats->candidate_docs = docs.size();
     stats->scanned_docs = scanned;
     stats->total_docs = by_key_.size();
-    stats->used_indexes = !plan.empty();
   }
   return docs;
 }

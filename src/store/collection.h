@@ -2,18 +2,13 @@
 // storage of the embedded XML database (the repository's Apache Xindice
 // substitute; see DESIGN.md "Substitutions").
 //
-// Two query entry points share the tag / value / term indexes:
-//
-//  * PlanDocs answers a typed PushdownPlan, the form pattern queries take
-//    in phase (ii) (DESIGN.md §6). Each step is answered from the postings
-//    where they decide it exactly; only documents that survive every
-//    step's postings are checked element by element, and only for the
-//    steps the postings could not decide.
-//  * Query / QueryText evaluate an XPath-lite expression: the planner
-//    intersects its PlanHints against the indexes to obtain candidate
-//    documents, then evaluates the full XPath on each candidate. QueryStats
-//    exposes how much the indexes pruned (ablation benches flip
-//    `use_indexes` off to quantify this).
+// One query entry point reads the tag / value / term indexes: PlanDocs
+// answers a typed PushdownPlan, the form pattern queries take in phase (ii)
+// (DESIGN.md §6) -- one `//tag[preds]` path step per labelled pattern node.
+// Each step is answered from the postings where they decide it exactly;
+// only documents that survive every step's postings are checked element by
+// element (StepMatches), and only for the steps the postings could not
+// decide.
 
 #ifndef TOSS_STORE_COLLECTION_H_
 #define TOSS_STORE_COLLECTION_H_
@@ -34,24 +29,16 @@
 #include "store/btree.h"
 #include "tax/data_tree.h"
 #include "xml/xml_document.h"
-#include "xml/xpath.h"
 
 namespace toss::store {
 
 using DocId = uint32_t;
 
-/// One matched node: which document and which element within it.
-struct Match {
-  DocId doc = 0;
-  xml::NodeId node = 0;
-};
-
-/// Execution counters for one Query call.
+/// Execution counters for one PlanDocs call.
 struct QueryStats {
-  size_t candidate_docs = 0;  ///< documents surviving index pruning
-  size_t scanned_docs = 0;    ///< documents actually evaluated
+  size_t candidate_docs = 0;  ///< documents satisfying the plan
+  size_t scanned_docs = 0;    ///< element checks (step, document) run
   size_t total_docs = 0;      ///< collection size at query time
-  bool used_indexes = false;
 };
 
 /// One step of a pushdown plan: the document holds an element tagged `tag`
@@ -81,6 +68,11 @@ struct PlanStep {
 
 /// Phase (ii) of a pattern query: one step per labelled pattern node.
 using PushdownPlan = std::vector<PlanStep>;
+
+/// The element check: some element of `doc` matches the step's tag (glob-
+/// aware, as tag equality evaluates) and its own text satisfies all the
+/// step's predicates. PlanDocs runs it where the postings cannot decide.
+bool StepMatches(const xml::XmlDocument& doc, const PlanStep& step);
 
 /// What one plan step cost (Collection::PlanDocs).
 struct PlanStepStats {
@@ -124,16 +116,6 @@ class Collection {
 
   /// Live document ids in insertion order.
   std::vector<DocId> AllDocs() const;
-
-  /// Evaluates `xpath` over every live document (index-pruned when
-  /// `use_indexes`), returning matches in (doc, document-order) order.
-  std::vector<Match> Query(const xml::XPath& xpath, bool use_indexes = true,
-                           QueryStats* stats = nullptr) const;
-
-  /// Convenience: compile + Query.
-  Result<std::vector<Match>> QueryText(std::string_view xpath,
-                                       bool use_indexes = true,
-                                       QueryStats* stats = nullptr) const;
 
   /// Live documents satisfying every step of `plan`, ascending; every live
   /// document when the plan is empty. Steps run smallest posting first.
@@ -212,12 +194,9 @@ class Collection {
       const std::optional<std::string>& hi) const;
 
   /// Live documents containing at least one element tagged with any member
-  /// of `tags`, ascending. Serves the join engine's document-level pruning
-  /// (tax::TwigJoiner::PruneFilters).
-  std::vector<DocId> DocsWithAnyTag(const std::set<std::string>& tags) const;
-
-  /// Id-space DocsWithAnyTag: `tags` are interned SymbolIds (the tag index
-  /// is keyed by them), e.g. from tax::TwigJoiner::PruneFilterIds.
+  /// of `tags`, ascending. `tags` are interned SymbolIds (the tag index is
+  /// keyed by them), e.g. from tax::TwigJoiner::PruneFilterIds; serves the
+  /// join engine's document-level pruning.
   std::vector<DocId> DocsWithAnyTagIds(const std::vector<SymbolId>& tags) const;
 
   /// Live documents containing at least one element whose tag contains '*'
@@ -231,23 +210,18 @@ class Collection {
     xml::XmlDocument doc;
     bool live = true;
     size_t serialized_bytes = 0;  ///< recorded at Insert/Replace
-    // Ordered-index keys this document contributed (for unindexing).
-    std::vector<std::string> value_keys;
-    std::vector<std::string> numeric_keys;
   };
 
-  void IndexDocument(DocId id);
-  void UnindexDocument(DocId id);
+  /// Adds (`add`) or erases document `id`'s postings in every index, by
+  /// one walk over its elements: removal erases exactly what insertion
+  /// added, at a cost bounded by the document, not the index.
+  void UpdatePostings(DocId id, bool add);
   void InvalidateCachedTree(DocId id);
 
   /// One plan step resolved against the indexes, without materializing
   /// its postings: candidates are probed against them instead.
   struct StepPostings;
   StepPostings Resolve(const PlanStep& step) const;
-
-  /// Candidate docs per hints, or all live docs when hints give no leverage.
-  std::vector<DocId> PlanCandidates(const xml::PlanHints& hints,
-                                    bool* pruned) const;
 
   std::string name_;
   std::vector<Entry> docs_;
@@ -256,8 +230,10 @@ class Collection {
   // Secondary indexes. Tag and term postings are doc-id sets; exact values
   // live in two B+-trees -- lexicographic raw keys plus an order-preserving
   // numeric encoding -- so equality lookups and range scans share storage.
+  // Postings hold live documents only, and an emptied posting is dropped,
+  // so the indexes equal those built fresh from the live documents.
   // The tag index is keyed by interned SymbolId (every indexed tag joins
-  // the process dictionary at IndexDocument); string lookups go through
+  // the process dictionary in UpdatePostings); string lookups go through
   // Interner::Find -- a tag the dictionary has never seen is in no live
   // document. Documents carrying a tag the dictionary could not intern
   // (overflow) land in unindexed_tag_docs_ and are conservatively kept by

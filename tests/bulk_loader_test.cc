@@ -33,9 +33,12 @@ TEST(BulkLoaderTest, SplitsDumpIntoDocuments) {
   // Keyless records get ordinal keys.
   EXPECT_TRUE((*coll)->FindKey("rec-2").ok());
   // Content is queryable.
-  auto m = (*coll)->QueryText("//author[. = 'Jennifer Widom']");
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->size(), 1u);
+  store::PlanStep widom;
+  widom.tag = "author";
+  widom.any_of = {{"Jennifer Widom"}};
+  auto docs = (*coll)->PlanDocs({widom});
+  ASSERT_EQ(docs.size(), 1u);
+  EXPECT_EQ((*coll)->key(docs[0]), "conf/vldb/Widom00");
 }
 
 TEST(BulkLoaderTest, DuplicateKeysDisambiguated) {

@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
+#include "core/query_language.h"
 #include "ontology/hierarchy_io.h"
 #include "ontology/sea.h"
 #include "sim/measure_registry.h"
@@ -14,7 +15,6 @@
 #include "tax/operators.h"
 #include "tax/tax_semantics.h"
 #include "xml/xml_parser.h"
-#include "xml/xpath.h"
 #include "xml/xml_writer.h"
 
 namespace toss {
@@ -468,17 +468,27 @@ TEST(PropertyTest, XmlParserSurvivesMutatedValidDocuments) {
   }
 }
 
-TEST(PropertyTest, ParsersSurviveRandomQueryText) {
+TEST(PropertyTest, ParsersSurviveRandomQueryInput) {
   Random rng(1012);
-  const char kAlphabet[] = "$12.tagcontent=\"'~&|!()<>i sabelowpart_of";
+  const char kAlphabet[] = "$12.tagcontent=\"'~&|!()<>i sabelowpart_of/,*";
+  // Whole TOSS-QL keywords, so random text reaches past the statement
+  // head into the MATCH / WHERE / GROUP BY / set-operator grammar.
+  const std::vector<std::string> kKeywords = {
+      "SELECT ", "FROM ", "WHERE ", "JOIN ", "GROUP BY ", "PROJECT ",
+      "MATCH ",  "UNION ", "INTERSECT ", "EXCEPT ", "dblp ", "$1/$2 "};
   for (int trial = 0; trial < 3000; ++trial) {
     std::string input;
     size_t len = rng.Uniform(50);
     for (size_t i = 0; i < len; ++i) {
-      input += kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)];
+      if (rng.Bernoulli(0.1)) {
+        input += rng.Choice(kKeywords);
+      } else {
+        input += kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)];
+      }
     }
     (void)tax::ParseCondition(input);
-    (void)xml::XPath::Compile(input);
+    (void)core::ParseQuery(input);
+    (void)core::ParseCompoundQuery(input);
   }
 }
 

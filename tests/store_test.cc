@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
+#include "common/random.h"
 #include "obs/metrics.h"
 #include "store/database.h"
 #include "xml/xml_parser.h"
@@ -29,6 +31,41 @@ Collection MakeSmallCollection() {
   return coll;
 }
 
+PlanStep TagStep(std::string tag) {
+  PlanStep step;
+  step.tag = std::move(tag);
+  return step;
+}
+
+PlanStep ValueStep(std::string tag, std::string value) {
+  PlanStep step = TagStep(std::move(tag));
+  step.any_of = {{std::move(value)}};
+  return step;
+}
+
+/// The keys of `docs`, sorted.
+std::vector<std::string> Keys(const Collection& coll,
+                              const std::vector<DocId>& docs) {
+  std::vector<std::string> keys;
+  for (DocId id : docs) keys.push_back(coll.key(id));
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+/// The plan's answer without indexes: every live document whose elements
+/// satisfy every step.
+std::vector<DocId> ScanDocs(const Collection& coll, const PushdownPlan& plan) {
+  std::vector<DocId> out;
+  for (DocId id : coll.AllDocs()) {
+    if (std::all_of(plan.begin(), plan.end(), [&](const PlanStep& step) {
+          return StepMatches(coll.document(id), step);
+        })) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
+
 TEST(CollectionTest, InsertAndLookup) {
   Collection coll = MakeSmallCollection();
   EXPECT_EQ(coll.size(), 3u);
@@ -52,48 +89,54 @@ TEST(CollectionTest, MalformedXmlRejected) {
 
 TEST(CollectionTest, QueryAcrossDocuments) {
   Collection coll = MakeSmallCollection();
-  auto r = coll.QueryText("//author[. = 'Jeffrey Ullman']");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->size(), 2u);  // p1 and p3
-  auto r2 = coll.QueryText("//inproceedings[booktitle='VLDB']");
-  ASSERT_TRUE(r2.ok());
-  ASSERT_EQ(r2->size(), 1u);
-  EXPECT_EQ(coll.key((*r2)[0].doc), "p2");
+  EXPECT_EQ(Keys(coll, coll.PlanDocs({ValueStep("author", "Jeffrey Ullman")})),
+            (std::vector<std::string>{"p1", "p3"}));
+  EXPECT_EQ(Keys(coll, coll.PlanDocs({TagStep("inproceedings"),
+                                      ValueStep("booktitle", "VLDB")})),
+            (std::vector<std::string>{"p2"}));
 }
 
 TEST(CollectionTest, IndexPruningStats) {
   Collection coll = MakeSmallCollection();
-  QueryStats with_idx, without_idx;
-  auto r1 = coll.QueryText("//inproceedings[booktitle='VLDB']", true,
-                           &with_idx);
-  auto r2 = coll.QueryText("//inproceedings[booktitle='VLDB']", false,
-                           &without_idx);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r1->size(), r2->size());  // same answers either way
-  EXPECT_TRUE(with_idx.used_indexes);
-  EXPECT_FALSE(without_idx.used_indexes);
-  EXPECT_LT(with_idx.scanned_docs, without_idx.scanned_docs);
-  EXPECT_EQ(without_idx.scanned_docs, 3u);
-  EXPECT_EQ(with_idx.scanned_docs, 1u);  // value index pinpoints p2
+  const PushdownPlan plan = {TagStep("inproceedings"),
+                             ValueStep("booktitle", "VLDB")};
+  QueryStats stats;
+  auto docs = coll.PlanDocs(plan, &stats);
+  EXPECT_EQ(docs, ScanDocs(coll, plan));  // same answers as a full scan
+  EXPECT_EQ(stats.candidate_docs, 1u);    // the value index pinpoints p2
+  EXPECT_EQ(stats.scanned_docs, 0u);      // and decides it: no DOM touched
+  EXPECT_EQ(stats.total_docs, 3u);
 }
 
 TEST(CollectionTest, TermIndexPrunesContains) {
   Collection coll = MakeSmallCollection();
+  ASSERT_TRUE(
+      coll.InsertXml("p4", "<paper><author>Abiteboulian</author></paper>")
+          .ok());
+  ASSERT_TRUE(
+      coll.InsertXml("p5", "<paper><author>Serge Abiteboul Jr</author></paper>")
+          .ok());
+  // A value may hold the literal's first and last word inside longer words
+  // ("Abiteboulian" contains "Abiteboul"), so those words prune nothing:
+  // every author document is checked.
+  PlanStep step = TagStep("author");
+  step.contains = {"Abiteboul"};
   QueryStats stats;
-  auto r = coll.QueryText("//author[contains(., 'Abiteboul')]", true,
-                          &stats);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 1u);
-  EXPECT_EQ(stats.scanned_docs, 1u);
+  EXPECT_EQ(Keys(coll, coll.PlanDocs({step}, &stats)),
+            (std::vector<std::string>{"p2", "p4", "p5"}));
+  EXPECT_EQ(stats.scanned_docs, 5u);
+  // A word the literal encloses is a whole word of every containing value:
+  // its term posting leaves only p2 and p5 to check.
+  step.contains = {"Serge Abiteboul Jr"};
+  EXPECT_EQ(Keys(coll, coll.PlanDocs({step}, &stats)),
+            (std::vector<std::string>{"p5"}));
+  EXPECT_EQ(stats.scanned_docs, 2u);
 }
 
 TEST(CollectionTest, MissingTagShortCircuits) {
   Collection coll = MakeSmallCollection();
   QueryStats stats;
-  auto r = coll.QueryText("//phdthesis", true, &stats);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->empty());
+  EXPECT_TRUE(coll.PlanDocs({TagStep("phdthesis")}, &stats).empty());
   EXPECT_EQ(stats.scanned_docs, 0u);
 }
 
@@ -101,9 +144,8 @@ TEST(CollectionTest, RemoveHidesDocument) {
   Collection coll = MakeSmallCollection();
   ASSERT_TRUE(coll.Remove("p1").ok());
   EXPECT_TRUE(coll.Remove("p1").IsNotFound());
-  auto r = coll.QueryText("//author[. = 'Jeffrey Ullman']");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 1u);  // only p3 remains
+  EXPECT_EQ(Keys(coll, coll.PlanDocs({ValueStep("author", "Jeffrey Ullman")})),
+            (std::vector<std::string>{"p3"}));
   EXPECT_EQ(coll.AllDocs().size(), 2u);
 }
 
@@ -236,17 +278,14 @@ TEST(CollectionTest, RangePredicatePrunesViaIndex) {
                                    "</year></p>")
                     .ok());
   }
+  PlanStep year = TagStep("year");
+  year.bounds = {{PlanStep::Order::kGeq, "2000"}, {PlanStep::Order::kLeq, "2002"}};
+  const PushdownPlan plan = {TagStep("p"), year};
   QueryStats stats;
-  auto matches = coll.QueryText("//p[year >= '2000'][year <= '2002']",
-                                true, &stats);
-  ASSERT_TRUE(matches.ok()) << matches.status();
-  EXPECT_EQ(matches->size(), 3u);
-  EXPECT_TRUE(stats.used_indexes);
-  EXPECT_EQ(stats.scanned_docs, 3u);  // range scan pinpoints candidates
-  // Same answers without indexes.
-  auto scan = coll.QueryText("//p[year >= '2000'][year <= '2002']", false);
-  ASSERT_TRUE(scan.ok());
-  EXPECT_EQ(scan->size(), matches->size());
+  auto docs = coll.PlanDocs(plan, &stats);
+  EXPECT_EQ(docs.size(), 3u);
+  EXPECT_EQ(stats.scanned_docs, 3u);  // range scans pinpoint the candidates
+  EXPECT_EQ(docs, ScanDocs(coll, plan));  // same answers as a full scan
 }
 
 TEST(CollectionTest, ReplaceSwapsContentAndReindexes) {
@@ -258,13 +297,10 @@ TEST(CollectionTest, ReplaceSwapsContentAndReindexes) {
   ASSERT_TRUE(id.ok()) << id.status();
   EXPECT_EQ(coll.AllDocs().size(), 3u);
   // Old content is gone from the indexes; new content is queryable.
-  auto old_match = coll.QueryText("//author[. = 'Jeffrey Ullman']");
-  ASSERT_TRUE(old_match.ok());
-  EXPECT_EQ(old_match->size(), 1u);  // only p3 now
-  auto new_match = coll.QueryText("//author[. = 'New Author']");
-  ASSERT_TRUE(new_match.ok());
-  ASSERT_EQ(new_match->size(), 1u);
-  EXPECT_EQ(coll.key((*new_match)[0].doc), "p1");
+  EXPECT_EQ(Keys(coll, coll.PlanDocs({ValueStep("author", "Jeffrey Ullman")})),
+            (std::vector<std::string>{"p3"}));
+  EXPECT_EQ(Keys(coll, coll.PlanDocs({ValueStep("author", "New Author")})),
+            (std::vector<std::string>{"p1"}));
   EXPECT_TRUE(coll.Replace("ghost", xml::XmlDocument()).status()
                   .IsInvalidArgument());
   EXPECT_TRUE(
@@ -409,6 +445,98 @@ TEST(CollectionTest, StatsTrackIndexes) {
   EXPECT_LT(after.value_index_keys, stats.value_index_keys);
 }
 
+// Removal erases exactly what insertion added: after a random run of
+// Insert / Replace / Remove, the indexes answer and measure like those of a
+// collection built fresh from the live documents.
+TEST(CollectionTest, ChurnedIndexesEqualFreshOnes) {
+  Random rng(2207);
+  const std::vector<std::string> tags = {"author", "year", "venue", "ye*",
+                                         "note"};
+  const std::vector<std::string> values = {
+      "Jeffrey Ullman", "Serge Abiteboul", "1999", "2000", "007", "",
+      "Data*",          "Views of Data",   std::string(300, 'q')};
+  auto random_doc = [&] {
+    xml::XmlDocument doc;
+    xml::NodeId root = doc.CreateRoot("paper");
+    for (size_t i = 1 + rng.Uniform(4); i > 0; --i) {
+      // Rare tags and words die with their last document.
+      std::string tag = rng.Bernoulli(0.2)
+                            ? "t" + std::to_string(rng.Uniform(40))
+                            : rng.Choice(tags);
+      std::string value = rng.Bernoulli(0.2)
+                              ? "w" + std::to_string(rng.Uniform(60)) + " x"
+                              : rng.Choice(values);
+      if (rng.Bernoulli(0.15)) {  // mixed content
+        xml::NodeId el = doc.AppendElement(root, tag);
+        doc.AppendText(el, "Views ");
+        doc.AppendTextElement(el, "i", value);
+      } else {
+        doc.AppendTextElement(root, tag, value);
+      }
+    }
+    return doc;
+  };
+  Collection churned("c");
+  std::vector<std::string> keys;
+  for (int op = 0; op < 600; ++op) {
+    const uint64_t kind = keys.empty() ? 0 : rng.Uniform(3);
+    if (kind == 0) {
+      keys.push_back("k" + std::to_string(op));
+      ASSERT_TRUE(churned.Insert(keys.back(), random_doc()).ok());
+      continue;
+    }
+    const size_t at = rng.Uniform(keys.size());
+    if (kind == 1) {
+      ASSERT_TRUE(churned.Replace(keys[at], random_doc()).ok());
+    } else {
+      ASSERT_TRUE(churned.Remove(keys[at]).ok());
+      keys.erase(keys.begin() + at);
+    }
+  }
+  Collection fresh("c");
+  for (DocId id : churned.AllDocs()) {
+    ASSERT_TRUE(fresh.Insert(churned.key(id), churned.document(id)).ok());
+  }
+  const Collection::Stats a = churned.GetStats(), b = fresh.GetStats();
+  EXPECT_EQ(a.live_docs, b.live_docs);
+  EXPECT_EQ(a.tag_index_entries, b.tag_index_entries);
+  EXPECT_EQ(a.term_index_entries, b.term_index_entries);
+  EXPECT_EQ(a.value_index_keys, b.value_index_keys);
+  EXPECT_EQ(a.numeric_index_keys, b.numeric_index_keys);
+  EXPECT_EQ(a.approx_bytes, b.approx_bytes);
+  EXPECT_EQ(Keys(churned, churned.DocsWithWildcardTag()),
+            Keys(fresh, fresh.DocsWithWildcardTag()));
+
+  auto random_step = [&] {
+    PlanStep step = TagStep(rng.Bernoulli(0.2)
+                                ? "t" + std::to_string(rng.Uniform(40))
+                                : rng.Choice(tags));
+    switch (rng.Uniform(4)) {
+      case 0:
+        step.any_of = {{rng.Choice(values), rng.Choice(values)}};
+        break;
+      case 1:
+        step.bounds = {{PlanStep::Order::kGeq, "1999"}};
+        break;
+      case 2:
+        step.contains = {rng.Bernoulli(0.5) ? " of " : "Ullman"};
+        break;
+      default:
+        break;
+    }
+    return step;
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    PushdownPlan plan = {random_step()};
+    if (rng.Bernoulli(0.5)) plan.push_back(random_step());
+    QueryStats churned_stats, fresh_stats;
+    const auto want = Keys(churned, ScanDocs(churned, plan));
+    EXPECT_EQ(Keys(churned, churned.PlanDocs(plan, &churned_stats)), want);
+    EXPECT_EQ(Keys(fresh, fresh.PlanDocs(plan, &fresh_stats)), want);
+    EXPECT_EQ(churned_stats.scanned_docs, fresh_stats.scanned_docs);
+  }
+}
+
 TEST(DatabaseTest, CollectionLifecycle) {
   Database db;
   auto c1 = db.CreateCollection("dblp");
@@ -453,12 +581,13 @@ TEST(DatabaseTest, SaveOpenRoundTrip) {
   EXPECT_EQ((*rc)->size(), 2u);
   ASSERT_TRUE((*rc)->FindKey("weird key / with : chars").ok());
   // Content and attributes survived.
-  auto matches = (*rc)->QueryText("//inproceedings[@gtid='10001']");
-  ASSERT_TRUE(matches.ok());
-  EXPECT_EQ(matches->size(), 1u);
-  auto authors = (*rc)->QueryText("//author[. = 'A & B']");
-  ASSERT_TRUE(authors.ok());
-  EXPECT_EQ(authors->size(), 1u);
+  auto p1 = (*rc)->FindKey("p1");
+  ASSERT_TRUE(p1.ok());
+  const xml::XmlDocument& doc = (*rc)->document(*p1);
+  EXPECT_EQ(doc.node(doc.root()).tag, "inproceedings");
+  EXPECT_EQ(doc.Attribute(doc.root(), "gtid"), "10001");
+  EXPECT_EQ((*rc)->PlanDocs({ValueStep("author", "A & B")}),
+            (std::vector<DocId>{*p1}));
 
   fs::remove_all(dir);
 }
