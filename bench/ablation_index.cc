@@ -1,5 +1,6 @@
-// Ablation: the store's index-backed document pruning on vs off, for three
-// pushdown plans (value equality, term containment, tag only). "Indexed"
+// Ablation: the store's index-backed document pruning on vs off, for four
+// pushdown plans (value equality, term containment, containment of a
+// literal that encloses no word, tag only). "Indexed"
 // runs Collection::PlanDocs; "Scan" checks every live document with the
 // plan's own element check (store::StepMatches). Validates the postings
 // design called out in DESIGN.md §6.
@@ -60,6 +61,14 @@ store::PushdownPlan TermContains() {
   return {title};
 }
 
+// A literal that encloses no word: no term posting prunes, so the step is
+// its tag posting and every admitted document is checked element by element.
+store::PushdownPlan ContainsNoWord() {
+  store::PlanStep title = Step("title");
+  title.contains = {"Semistructured"};
+  return {title};
+}
+
 store::PushdownPlan TagOnly() { return {Step("booktitle")}; }
 
 /// The plan's answer without indexes: every live document whose elements
@@ -103,6 +112,12 @@ void BM_TermContains_Indexed(benchmark::State& state) {
 void BM_TermContains_Scan(benchmark::State& state) {
   RunPlan(state, TermContains(), false);
 }
+void BM_ContainsNoWord_Indexed(benchmark::State& state) {
+  RunPlan(state, ContainsNoWord(), true);
+}
+void BM_ContainsNoWord_Scan(benchmark::State& state) {
+  RunPlan(state, ContainsNoWord(), false);
+}
 void BM_TagOnly_Indexed(benchmark::State& state) {
   RunPlan(state, TagOnly(), true);
 }
@@ -114,6 +129,8 @@ BENCHMARK(BM_ValueEquality_Indexed);
 BENCHMARK(BM_ValueEquality_Scan);
 BENCHMARK(BM_TermContains_Indexed);
 BENCHMARK(BM_TermContains_Scan);
+BENCHMARK(BM_ContainsNoWord_Indexed);
+BENCHMARK(BM_ContainsNoWord_Scan);
 BENCHMARK(BM_TagOnly_Indexed);
 BENCHMARK(BM_TagOnly_Scan);
 

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -52,9 +53,16 @@ void JsonValue::Set(const std::string& key, JsonValue value) {
 
 namespace {
 
+/// Appends `s` quoted and escaped, copying the runs between escaped bytes
+/// whole.
 void DumpString(const std::string& s, std::string* out) {
   out->push_back('"');
-  for (char c : s) {
+  size_t run = 0;  // start of the run not yet copied
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         *out += "\\\"";
@@ -77,17 +85,14 @@ void DumpString(const std::string& s, std::string* out) {
       case '\t':
         *out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+        *out += buf;
+      }
     }
   }
+  out->append(s, run, s.size() - run);
   out->push_back('"');
 }
 
@@ -106,19 +111,21 @@ void DumpNumber(double v, std::string* out) {
     *out += buf;
     return;
   }
-  // Shortest representation that round-trips a double.
+  // Shortest of 15, 16 or 17 significant digits that round-trips (17
+  // always does). std::to_chars with a precision prints as printf's "%.*g"
+  // does, without the locale and format-string work.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  double parsed = std::strtod(buf, nullptr);
-  for (int prec = 15; prec <= 16; ++prec) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-    if (std::strtod(shorter, nullptr) == parsed) {
-      *out += shorter;
+  for (int prec = 15;; ++prec) {
+    char* end = std::to_chars(buf, buf + sizeof(buf), v,
+                              std::chars_format::general, prec)
+                    .ptr;
+    double parsed = 0;
+    std::from_chars(buf, end, parsed);
+    if (parsed == v || prec == 17) {
+      out->append(buf, end);
       return;
     }
   }
-  *out += buf;
 }
 
 }  // namespace

@@ -610,7 +610,8 @@ Result<tax::TreeCollection> QueryExecutor::Select(
   TOSS_ASSIGN_OR_RETURN(
       std::vector<store::DocId> docs,
       CandidateDocs(*coll, pattern, {}, options, stats, parent));
-  TOSS_RETURN_NOT_OK(pattern.Validate());
+  TOSS_ASSIGN_OR_RETURN(const tax::EmbeddingPlan plan,
+                        tax::EmbeddingPlan::Build(pattern));
   Timer timer;
   obs::Span eval_span(parent, "eval");
   const store::Collection::TreeCacheStats cache_before =
@@ -626,7 +627,7 @@ Result<tax::TreeCollection> QueryExecutor::Select(
       [&](size_t i) -> Status {
         std::shared_ptr<const tax::DataTree> tree = coll->DecodedTree(docs[i]);
         TOSS_ASSIGN_OR_RETURN(parts[i],
-                              tax::SelectTree(*tree, pattern, expand, sem));
+                              tax::SelectTree(*tree, plan, expand, sem));
         return Status::OK();
       },
       options));
@@ -657,7 +658,8 @@ Result<tax::TreeCollection> QueryExecutor::Project(
   TOSS_ASSIGN_OR_RETURN(
       std::vector<store::DocId> docs,
       CandidateDocs(*coll, pattern, {}, options, stats, parent));
-  TOSS_RETURN_NOT_OK(pattern.Validate());
+  TOSS_ASSIGN_OR_RETURN(const tax::EmbeddingPlan plan,
+                        tax::EmbeddingPlan::Build(pattern));
   Timer timer;
   obs::Span eval_span(parent, "eval");
   const store::Collection::TreeCacheStats cache_before =
@@ -670,7 +672,7 @@ Result<tax::TreeCollection> QueryExecutor::Project(
       [&](size_t i) -> Status {
         std::shared_ptr<const tax::DataTree> tree = coll->DecodedTree(docs[i]);
         TOSS_ASSIGN_OR_RETURN(parts[i],
-                              tax::ProjectTree(*tree, pattern, pl, sem));
+                              tax::ProjectTree(*tree, plan, pl, sem));
         return Status::OK();
       },
       options));
@@ -701,7 +703,8 @@ Result<tax::TreeCollection> QueryExecutor::GroupBy(
   TOSS_ASSIGN_OR_RETURN(
       std::vector<store::DocId> docs,
       CandidateDocs(*coll, pattern, {}, options, stats, parent));
-  TOSS_RETURN_NOT_OK(pattern.Validate());
+  TOSS_ASSIGN_OR_RETURN(const tax::EmbeddingPlan plan,
+                        tax::EmbeddingPlan::Build(pattern));
   if (pattern.IndexOfLabel(group_label) < 0) {
     return Status::InvalidArgument("GroupBy: label $" +
                                    std::to_string(group_label) +
@@ -721,7 +724,7 @@ Result<tax::TreeCollection> QueryExecutor::GroupBy(
         std::shared_ptr<const tax::DataTree> tree = coll->DecodedTree(docs[i]);
         TOSS_ASSIGN_OR_RETURN(
             parts[i],
-            tax::GroupByTree(*tree, pattern, group_label, expand, sem));
+            tax::GroupByTree(*tree, plan, group_label, expand, sem));
         return Status::OK();
       },
       options));

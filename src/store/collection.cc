@@ -1,7 +1,6 @@
 #include "store/collection.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -35,10 +34,6 @@ StoreMetrics& Instruments() {
 
 /// Longest element content the value indexes key.
 constexpr size_t kMaxIndexedValue = 256;
-
-std::vector<DocId> ToList(const std::set<DocId>& docs) {
-  return {docs.begin(), docs.end()};
-}
 
 std::vector<DocId> Union(const std::vector<DocId>& a,
                          const std::vector<DocId>& b) {
@@ -226,20 +221,29 @@ std::vector<DocId> Collection::AllDocs() const {
 void Collection::UpdatePostings(DocId id, bool add) {
   const xml::XmlDocument& doc = docs_[id].doc;
   Interner& interner = Interner::Global();
+  // `id` is the largest id any posting holds when it is added, so adding
+  // appends (once per document) and keeps the posting sorted.
+  auto insert = [id](std::vector<DocId>& posting) {
+    if (posting.empty() || posting.back() != id) posting.push_back(id);
+  };
+  auto erase = [id](std::vector<DocId>& posting) {
+    auto it = std::lower_bound(posting.begin(), posting.end(), id);
+    if (it != posting.end() && *it == id) posting.erase(it);
+  };
   // Adds `id` to index[key], or erases it and drops the emptied posting.
   auto update = [&](auto& index, const auto& key) {
     if (add) {
-      index[key].insert(id);
+      insert(index[key]);
       return;
     }
     auto it = index.find(key);
     if (it == index.end()) return;
-    it->second.erase(id);
+    erase(it->second);
     if (it->second.empty()) index.erase(it);
   };
   if (!add) {
-    unindexed_tag_docs_.erase(id);
-    wildcard_tag_docs_.erase(id);
+    erase(unindexed_tag_docs_);
+    erase(wildcard_tag_docs_);
   }
   std::vector<xml::NodeId> elements{doc.root()};
   auto descendants = doc.ElementDescendants(doc.root());
@@ -260,9 +264,9 @@ void Collection::UpdatePostings(DocId id, bool add) {
     if (tag_sym.has_value()) {
       update(tag_index_, *tag_sym);
     } else if (add) {
-      unindexed_tag_docs_.insert(id);
+      insert(unindexed_tag_docs_);
     }
-    if (add && Contains(n.tag, "*")) wildcard_tag_docs_.insert(id);
+    if (add && Contains(n.tag, "*")) insert(wildcard_tag_docs_);
     // Value indexes: the element's text content (leaf-style values).
     const std::string content = doc.TextContent(nid);
     const std::string own = OwnText(doc, nid);
@@ -345,19 +349,16 @@ std::vector<DocId> Collection::DocsWithAnyTagIds(
     const std::vector<SymbolId>& tags) const {
   // Tag postings hold live docs only (removal erases them), so the union
   // needs no liveness re-check.
-  std::set<DocId> docs(unindexed_tag_docs_.begin(),
-                       unindexed_tag_docs_.end());
+  std::vector<DocId> docs = unindexed_tag_docs_;
   for (SymbolId tag : tags) {
     auto it = tag_index_.find(tag);
-    if (it != tag_index_.end()) {
-      docs.insert(it->second.begin(), it->second.end());
-    }
+    if (it != tag_index_.end()) docs = Union(docs, it->second);
   }
-  return {docs.begin(), docs.end()};
+  return docs;
 }
 
 std::vector<DocId> Collection::DocsWithWildcardTag() const {
-  return Union(ToList(wildcard_tag_docs_), ToList(unindexed_tag_docs_));
+  return Union(wildcard_tag_docs_, unindexed_tag_docs_);
 }
 
 std::string PlanStep::ToString() const {
@@ -383,12 +384,14 @@ std::string PlanStep::ToString() const {
 }
 
 struct Collection::StepPostings {
-  const std::set<DocId>* tagged = nullptr;  ///< null: no indexed document
+  using Posting = std::vector<DocId>;
+
+  const Posting* tagged = nullptr;  ///< null: no indexed document
   /// With any-of groups: the postings of the 1-256 byte values that every
   /// group holds (one element must equal a value of each group).
-  std::optional<std::vector<const std::vector<DocId>*>> values;
-  std::vector<std::vector<DocId>> ranges;   ///< range scans, ascending
-  std::vector<const std::set<DocId>*> words;  ///< enclosed-word postings
+  std::optional<std::vector<const Posting*>> values;
+  std::vector<Posting> ranges;        ///< range scans, ascending
+  std::vector<const Posting*> words;  ///< enclosed-word postings
   bool missing_word = false;  ///< some enclosed word is in no document
   /// Documents the postings cannot decide (ascending): unclassifiable
   /// tags, and for steps with predicates the tag's irregular documents.
@@ -397,73 +400,89 @@ struct Collection::StepPostings {
   bool exact = false;
 
   /// `id` passes every posting (sound for documents outside `unsure`).
+  /// A value posting lists only documents of the tag posting or of
+  /// `unsure`, so with any-of groups the value check stands in for the tag
+  /// check.
   bool Regular(DocId id) const {
-    if (tagged == nullptr || !tagged->count(id) || missing_word) return false;
-    if (values.has_value() &&
-        std::none_of(values->begin(), values->end(), [id](const auto* p) {
-          return std::binary_search(p->begin(), p->end(), id);
-        })) {
+    if (tagged == nullptr || missing_word) return false;
+    if (values.has_value()) {
+      if (std::none_of(values->begin(), values->end(),
+                       [id](const Posting* p) { return Holds(*p, id); })) {
+        return false;
+      }
+    } else if (!Holds(*tagged, id)) {
       return false;
     }
-    for (const auto& range : ranges) {
-      if (!std::binary_search(range.begin(), range.end(), id)) return false;
-    }
-    return std::all_of(words.begin(), words.end(),
-                       [id](const auto* p) { return p->count(id) > 0; });
+    return InRangesAndWords(id);
   }
-  bool Unsure(DocId id) const {
-    return std::binary_search(unsure.begin(), unsure.end(), id);
-  }
+  bool Unsure(DocId id) const { return Holds(unsure, id); }
   bool Admits(DocId id) const { return Unsure(id) || Regular(id); }
   bool NeedsCheck(DocId id) const { return !exact || Unsure(id); }
 
   /// Upper bound on the admitted documents: the smallest posting.
-  size_t Estimate() const { return SmallestPosting(nullptr) + unsure.size(); }
+  size_t Estimate() const {
+    if (tagged == nullptr || missing_word) return unsure.size();
+    size_t best = Smallest()->size();
+    if (values.has_value()) best = std::min(best, ValuesSize());
+    return best + unsure.size();
+  }
 
   /// Every admitted document, ascending: the smallest posting, filtered.
   std::vector<DocId> Admitted() const {
-    std::vector<DocId> source;
-    SmallestPosting(&source);
-    std::erase_if(source, [this](DocId id) { return !Regular(id); });
-    return Union(source, unsure);
+    if (tagged == nullptr || missing_word) return unsure;
+    if (!values.has_value() && ranges.empty() && words.empty()) {
+      // The tag posting is the step's only posting: it admits itself.
+      return Union(*tagged, unsure);
+    }
+    const Posting* best = Smallest();
+    Posting regular;
+    if (values.has_value() && ValuesSize() < best->size()) {
+      // The value postings' union passes the value check by construction.
+      for (const Posting* p : *values) {
+        regular.insert(regular.end(), p->begin(), p->end());
+      }
+      std::sort(regular.begin(), regular.end());
+      regular.erase(std::unique(regular.begin(), regular.end()),
+                    regular.end());
+      std::erase_if(regular,
+                    [this](DocId id) { return !InRangesAndWords(id); });
+    } else {
+      std::copy_if(best->begin(), best->end(), std::back_inserter(regular),
+                   [this](DocId id) { return Regular(id); });
+    }
+    return Union(regular, unsure);
   }
 
  private:
-  /// The smallest posting's size; `out` (optional) receives its documents,
-  /// ascending.
-  size_t SmallestPosting(std::vector<DocId>* out) const {
-    if (tagged == nullptr || missing_word) return 0;
-    size_t best = tagged->size();
-    std::function<std::vector<DocId>()> take = [this] {
-      return ToList(*tagged);
-    };
-    auto consider = [&](size_t size, std::function<std::vector<DocId>()> f) {
-      if (size < best) {
-        best = size;
-        take = std::move(f);
-      }
-    };
-    if (values.has_value()) {
-      size_t size = 0;
-      for (const auto* p : *values) size += p->size();
-      consider(size, [this] {
-        std::vector<DocId> merged;
-        for (const auto* p : *values) {
-          merged.insert(merged.end(), p->begin(), p->end());
-        }
-        std::sort(merged.begin(), merged.end());
-        merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-        return merged;
-      });
+  static bool Holds(const Posting& posting, DocId id) {
+    return std::binary_search(posting.begin(), posting.end(), id);
+  }
+
+  bool InRangesAndWords(DocId id) const {
+    for (const Posting& range : ranges) {
+      if (!Holds(range, id)) return false;
     }
-    for (const auto& range : ranges) {
-      consider(range.size(), [&range] { return range; });
+    return std::all_of(words.begin(), words.end(),
+                       [id](const Posting* p) { return Holds(*p, id); });
+  }
+
+  /// The smallest of the tag, range and word postings.
+  const Posting* Smallest() const {
+    const Posting* best = tagged;
+    for (const Posting& range : ranges) {
+      if (range.size() < best->size()) best = &range;
     }
-    for (const auto* p : words) {
-      consider(p->size(), [p] { return ToList(*p); });
+    for (const Posting* p : words) {
+      if (p->size() < best->size()) best = p;
     }
-    if (out != nullptr) *out = take();
     return best;
+  }
+
+  /// Size of the union of the value postings, bounded by their sum.
+  size_t ValuesSize() const {
+    size_t size = 0;
+    for (const Posting* p : *values) size += p->size();
+    return size;
   }
 };
 
@@ -479,15 +498,16 @@ Collection::StepPostings Collection::Resolve(const PlanStep& step) const {
     // A bare tag step: its tag posting is its answer.
     out.exact = true;
     if (out.tagged != nullptr) {
-      std::erase_if(out.unsure,
-                    [&](DocId id) { return out.tagged->count(id) > 0; });
+      std::erase_if(out.unsure, [&](DocId id) {
+        return std::binary_search(out.tagged->begin(), out.tagged->end(), id);
+      });
     }
     return out;
   }
   if (sym.has_value()) {
     auto it = irregular_docs_.find(*sym);
     if (it != irregular_docs_.end()) {
-      out.unsure = Union(out.unsure, ToList(it->second));
+      out.unsure = Union(out.unsure, it->second);
     }
   }
   // Outside `unsure`, every `tag` element's content is 1-256 bytes, free of

@@ -19,7 +19,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -227,11 +226,14 @@ class Collection {
   std::vector<Entry> docs_;
   std::map<std::string, DocId> by_key_;
 
-  // Secondary indexes. Tag and term postings are doc-id sets; exact values
-  // live in two B+-trees -- lexicographic raw keys plus an order-preserving
-  // numeric encoding -- so equality lookups and range scans share storage.
-  // Postings hold live documents only, and an emptied posting is dropped,
-  // so the indexes equal those built fresh from the live documents.
+  // Secondary indexes. Every posting is a sorted vector of live doc ids:
+  // a new document's id is the largest yet (docs_.size()), so indexing
+  // appends, removal binary-searches and erases, and a probe is a binary
+  // search over contiguous ids. Exact values live in two B+-trees --
+  // lexicographic raw keys plus an order-preserving numeric encoding -- so
+  // equality lookups and range scans share storage. An emptied posting is
+  // dropped, so the indexes equal those built fresh from the live
+  // documents.
   // The tag index is keyed by interned SymbolId (every indexed tag joins
   // the process dictionary in UpdatePostings); string lookups go through
   // Interner::Find -- a tag the dictionary has never seen is in no live
@@ -244,11 +246,11 @@ class Collection {
   // contains '*', or differs from its full text content (the value index
   // key): for those the value and term postings cannot decide the element.
   // wildcard_tag_docs_ holds documents with a '*' in some tag.
-  std::unordered_map<SymbolId, std::set<DocId>> tag_index_;
-  std::set<DocId> unindexed_tag_docs_;
-  std::unordered_map<SymbolId, std::set<DocId>> irregular_docs_;
-  std::set<DocId> wildcard_tag_docs_;
-  std::map<std::string, std::set<DocId>> term_index_;
+  std::unordered_map<SymbolId, std::vector<DocId>> tag_index_;
+  std::vector<DocId> unindexed_tag_docs_;
+  std::unordered_map<SymbolId, std::vector<DocId>> irregular_docs_;
+  std::vector<DocId> wildcard_tag_docs_;
+  std::unordered_map<std::string, std::vector<DocId>> term_index_;
   BPlusTree value_index_;    // ValueKey(tag, content)
   BPlusTree numeric_index_;  // NumericKey(tag, content), integer contents
 

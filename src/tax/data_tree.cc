@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 #include "common/string_util.h"
 
@@ -64,6 +65,10 @@ bool DataTree::IsAncestor(NodeId ancestor, NodeId node) const {
 
 NodeId DataTree::CopySubtree(const DataTree& src, NodeId src_id,
                              NodeId parent) {
+  if (parent == kInvalidNode && src.HasPreorderIds()) {
+    // A new tree: the source's preorder ids give the copy's node count.
+    nodes_.reserve(src.SubtreeEnd(src_id) - src_id);
+  }
   const DataNode& sn = src.node(src_id);
   NodeId dst = (parent == kInvalidNode) ? CreateRoot(sn.tag, sn.content)
                                         : AppendChild(parent, sn.tag,
@@ -132,6 +137,38 @@ void AppendCanonical(const DataTree& tree, NodeId id, std::string* out) {
   field(n.content_type);
   for (NodeId c : n.children) AppendCanonical(tree, c, out);
   *out += ')';
+}
+
+bool SameSubtree(const DataTree& a, NodeId x, const DataTree& b, NodeId y) {
+  const DataNode& n = a.node(x);
+  const DataNode& m = b.node(y);
+  if (n.children.size() != m.children.size() || n.tag != m.tag ||
+      n.content != m.content || n.tag_type != m.tag_type ||
+      n.content_type != m.content_type) {
+    return false;
+  }
+  for (size_t i = 0; i < n.children.size(); ++i) {
+    if (!SameSubtree(a, n.children[i], b, m.children[i])) return false;
+  }
+  return true;
+}
+
+uint64_t Mix(uint64_t h, uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  return h;
+}
+
+/// A Merkle-style hash: a node's fields, its child count, then its
+/// children's hashes in order, so shape and sibling order take part.
+uint64_t HashSubtree(const DataTree& tree, NodeId id) {
+  const DataNode& n = tree.node(id);
+  std::hash<std::string_view> hash;
+  uint64_t h = Mix(hash(n.tag), hash(n.content));
+  h = Mix(h, hash(n.tag_type));
+  h = Mix(h, hash(n.content_type));
+  h = Mix(h, n.children.size());
+  for (NodeId c : n.children) h = Mix(h, HashSubtree(tree, c));
+  return h;
 }
 
 }  // namespace
@@ -233,13 +270,18 @@ const std::vector<NodeId>& DataTree::WildcardTagNodes() const {
 
 xml::XmlDocument DataTree::ToXml() const {
   xml::XmlDocument out;
+  out.Reserve(2 * nodes_.size());  // an element and a text node each
   if (!empty()) ConvertToXml(*this, root(), &out, xml::kInvalidNode);
   return out;
 }
 
 bool DataTree::Equals(const DataTree& other) const {
   if (nodes_.size() != other.nodes_.size()) return false;
-  return CanonicalKey() == other.CanonicalKey();
+  return empty() || SameSubtree(*this, root(), other, other.root());
+}
+
+uint64_t DataTree::StructuralHash() const {
+  return empty() ? 0 : HashSubtree(*this, root());
 }
 
 std::string DataTree::CanonicalKey() const {

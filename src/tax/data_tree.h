@@ -87,10 +87,16 @@ class DataTree {
 
   /// Order-preserving value equality (paper Section 5.1.2): isomorphic
   /// shapes with equal tags, contents and types at corresponding nodes.
+  /// Provenance does not take part.
   bool Equals(const DataTree& other) const;
 
+  /// A 64-bit hash of what Equals compares: Equals(a, b) implies equal
+  /// hashes. Duplicate elimination keys trees by it and calls Equals only
+  /// when two hashes collide.
+  uint64_t StructuralHash() const;
+
   /// Canonical serialization; Equals(a,b) iff CanonicalKey()s are equal.
-  /// Set operations hash on this.
+  /// The reference the tests hold Equals and StructuralHash to.
   std::string CanonicalKey() const;
 
   // --- Tag index -----------------------------------------------------------

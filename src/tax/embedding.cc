@@ -25,6 +25,16 @@ void CollectSingleLabelAtoms(
   }
 }
 
+/// The leaves of the And-tree at the top of `c`, left to right: the order
+/// in which evaluating `c` visits them.
+void CollectConjuncts(const Condition& c, std::vector<const Condition*>* out) {
+  if (c.kind != Condition::Kind::kAnd) {
+    out->push_back(&c);
+    return;
+  }
+  for (const auto& child : c.children) CollectConjuncts(*child, out);
+}
+
 /// True when `atom` is `$n.tag = "literal"` (either orientation) with a
 /// plain string literal whose exact-string evaluation cannot error and
 /// cannot involve glob matching on the literal side. Mirrors the executor's
@@ -55,34 +65,25 @@ bool ExactTagLiteral(const Condition& atom, int* label, std::string* tag) {
 
 class Enumerator {
  public:
-  Enumerator(const PatternTree& pattern, const DataTree& tree,
-             const ConditionSemantics& semantics,
-             const EmbeddingOptions& options)
-      : pattern_(pattern), tree_(tree), semantics_(semantics) {
-    prefilters_ = CollectConjunctivePrefilters(pattern.condition());
-    if (options.use_tag_index && tree.TagFilterable()) {
-      tag_filters_ = CollectConjunctiveTagFilters(pattern.condition());
-      BuildIdFilters();
-    }
-  }
+  Enumerator(const EmbeddingPlan& plan, const DataTree& tree,
+             const ConditionSemantics& semantics)
+      : plan_(plan),
+        pattern_(plan.pattern()),
+        tree_(tree),
+        semantics_(semantics),
+        filter_tags_(tree.TagFilterable()),
+        filter_ids_(filter_tags_ && tree.HasSymbolIds() &&
+                    SymbolFastPathsEnabled()) {}
 
   /// Partial-match mode: assigns only `subset` (ascending pattern indexes
   /// forming the subtree of subset[0]) and collects image tuples instead of
-  /// running the final condition check. Tag filtering is always on -- the
-  /// join engine only targets filterable trees.
-  Enumerator(const PatternTree& pattern, const std::vector<size_t>& subset,
+  /// running the final condition check.
+  Enumerator(const EmbeddingPlan& plan, const std::vector<size_t>& subset,
              bool head_must_be_root, const DataTree& tree,
              const ConditionSemantics& semantics)
-      : pattern_(pattern),
-        tree_(tree),
-        semantics_(semantics),
-        subset_(&subset),
-        head_must_be_root_(head_must_be_root) {
-    prefilters_ = CollectConjunctivePrefilters(pattern.condition());
-    if (tree.TagFilterable()) {
-      tag_filters_ = CollectConjunctiveTagFilters(pattern.condition());
-      BuildIdFilters();
-    }
+      : Enumerator(plan, tree, semantics) {
+    subset_ = &subset;
+    head_must_be_root_ = head_must_be_root;
   }
 
   Result<std::vector<Embedding>> Run() {
@@ -100,35 +101,6 @@ class Enumerator {
   }
 
  private:
-  const std::set<std::string>* FilterFor(int label) const {
-    auto it = tag_filters_.find(label);
-    return it == tag_filters_.end() ? nullptr : &it->second;
-  }
-
-  /// Lowers each string filter to a sorted SymbolId list when the tree
-  /// carries per-node ids. BuildTagIndex interned every data tag, so a
-  /// literal the dictionary has never seen matches no node and is dropped;
-  /// an entry can therefore legitimately be empty (only '*' tags remain
-  /// candidates).
-  void BuildIdFilters() {
-    if (!tree_.HasSymbolIds() || !SymbolFastPathsEnabled()) return;
-    Interner& interner = Interner::Global();
-    for (const auto& [label, tags] : tag_filters_) {
-      std::vector<SymbolId> ids;
-      ids.reserve(tags.size());
-      for (const std::string& tag : tags) {
-        if (auto sym = interner.Find(tag)) ids.push_back(*sym);
-      }
-      std::sort(ids.begin(), ids.end());
-      tag_filter_ids_.emplace(label, std::move(ids));
-    }
-  }
-
-  const std::vector<SymbolId>* IdFilterFor(int label) const {
-    auto it = tag_filter_ids_.find(label);
-    return it == tag_filter_ids_.end() ? nullptr : &it->second;
-  }
-
   /// Id-space TagAllowed: one array load + binary search over u32s.
   bool TagAllowedId(NodeId v, const std::vector<SymbolId>& allowed) const {
     SymbolId t = tree_.TagId(v);
@@ -183,13 +155,13 @@ class Enumerator {
     return out;
   }
 
-  /// Checks the prefilter atoms of `label` against a partial mapping that
-  /// already contains `label`.
-  Result<bool> PassesPrefilters(int label) {
-    auto it = prefilters_.find(label);
-    if (it == prefilters_.end()) return true;
+  /// Checks the prefilter atoms of pattern node `index` against a partial
+  /// mapping that already contains its label.
+  Result<bool> PassesPrefilters(size_t index) {
+    const std::vector<const Condition*>& atoms = plan_.node(index).prefilters;
+    if (atoms.empty()) return true;
     EmbeddingView view{&tree_, &current_.mapping};
-    for (const Condition* atom : it->second) {
+    for (const Condition* atom : atoms) {
       TOSS_ASSIGN_OR_RETURN(bool ok, EvalCondition(*atom, view, semantics_));
       if (!ok) return false;
     }
@@ -211,17 +183,23 @@ class Enumerator {
         return Status::OK();
       }
       EmbeddingView view{&tree_, &current_.mapping};
-      TOSS_ASSIGN_OR_RETURN(
-          bool ok, EvalCondition(pattern_.condition(), view, semantics_));
-      if (ok) results_.push_back(current_);
+      for (const Condition* conjunct : plan_.residual()) {
+        TOSS_ASSIGN_OR_RETURN(bool ok,
+                              EvalCondition(*conjunct, view, semantics_));
+        if (!ok) return Status::OK();
+      }
+      results_.push_back(current_);
       return Status::OK();
     }
     const size_t index = subset_ != nullptr ? (*subset_)[slot] : slot;
     const PatternNode& pnode = pattern_.node(index);
-    const std::set<std::string>* allowed = FilterFor(pnode.label);
+    const EmbeddingPlan::NodePlan& nplan = plan_.node(index);
+    const std::set<std::string>* allowed =
+        filter_tags_ && nplan.tags.has_value() ? &*nplan.tags : nullptr;
     // Non-null only when `allowed` is non-null and the tree carries ids;
     // the id path computes the same candidate sets as the string path.
-    const std::vector<SymbolId>* allowed_ids = IdFilterFor(pnode.label);
+    const std::vector<SymbolId>* allowed_ids =
+        allowed != nullptr && filter_ids_ ? &nplan.tag_ids : nullptr;
     auto node_allowed = [&](NodeId v) {
       return allowed_ids != nullptr ? TagAllowedId(v, *allowed_ids)
                                     : TagAllowed(v, *allowed);
@@ -275,7 +253,7 @@ class Enumerator {
     }
     for (NodeId cand : candidates) {
       current_.mapping.Set(pnode.label, cand);
-      TOSS_ASSIGN_OR_RETURN(bool pass, PassesPrefilters(pnode.label));
+      TOSS_ASSIGN_OR_RETURN(bool pass, PassesPrefilters(index));
       if (pass) {
         TOSS_RETURN_NOT_OK(Assign(slot + 1));
       }
@@ -284,14 +262,14 @@ class Enumerator {
     return Status::OK();
   }
 
+  const EmbeddingPlan& plan_;
   const PatternTree& pattern_;
   const DataTree& tree_;
   const ConditionSemantics& semantics_;
+  const bool filter_tags_;  ///< the tree's tag index may prune candidates
+  const bool filter_ids_;   ///< ... in id space
   const std::vector<size_t>* subset_ = nullptr;  ///< partial-match mode
   bool head_must_be_root_ = false;
-  std::map<int, std::vector<const Condition*>> prefilters_;
-  std::map<int, std::set<std::string>> tag_filters_;
-  std::map<int, std::vector<SymbolId>> tag_filter_ids_;  ///< see BuildIdFilters
   Embedding current_;
   std::vector<Embedding> results_;
   std::vector<std::vector<NodeId>> tuples_;
@@ -385,10 +363,54 @@ std::map<int, std::set<std::string>> CollectConjunctiveTagFilters(
   return out;
 }
 
-Result<std::vector<std::vector<NodeId>>> FindPartialMatches(
-    const PatternTree& pattern, size_t head, const DataTree& tree,
-    const ConditionSemantics& semantics, const PartialMatchOptions& options) {
+Result<EmbeddingPlan> EmbeddingPlan::Build(const PatternTree& pattern,
+                                           const EmbeddingOptions& options) {
   TOSS_RETURN_NOT_OK(pattern.Validate());
+  EmbeddingPlan plan(pattern);
+  std::map<int, std::vector<const Condition*>> prefilters =
+      CollectConjunctivePrefilters(pattern.condition());
+  std::map<int, std::set<std::string>> tag_filters;
+  if (options.use_tag_index) {
+    tag_filters = CollectConjunctiveTagFilters(pattern.condition());
+  }
+  Interner& interner = Interner::Global();
+  std::set<const Condition*> prefiltered;
+  plan.nodes_.resize(pattern.node_count());
+  for (size_t i = 0; i < pattern.node_count(); ++i) {
+    NodePlan& node = plan.nodes_[i];
+    const int label = pattern.node(i).label;
+    if (auto it = prefilters.find(label); it != prefilters.end()) {
+      node.prefilters = it->second;
+      prefiltered.insert(it->second.begin(), it->second.end());
+    }
+    auto it = tag_filters.find(label);
+    if (it == tag_filters.end()) continue;
+    // A literal the dictionary has never seen matches no indexed node and
+    // is dropped, so the id list can be empty (only '*' tags remain
+    // candidates); see the class comment for why that holds per query.
+    for (const std::string& tag : it->second) {
+      if (auto sym = interner.Find(tag)) node.tag_ids.push_back(*sym);
+    }
+    std::sort(node.tag_ids.begin(), node.tag_ids.end());
+    node.tags = it->second;
+  }
+  std::vector<const Condition*> conjuncts;
+  CollectConjuncts(pattern.condition(), &conjuncts);
+  for (const Condition* conjunct : conjuncts) {
+    if (!prefiltered.count(conjunct)) plan.residual_.push_back(conjunct);
+  }
+  return plan;
+}
+
+Result<std::vector<Embedding>> EmbeddingPlan::Run(
+    const DataTree& tree, const ConditionSemantics& semantics) const {
+  return Enumerator(*this, tree, semantics).Run();
+}
+
+Result<std::vector<std::vector<NodeId>>> FindPartialMatches(
+    const EmbeddingPlan& plan, size_t head, const DataTree& tree,
+    const ConditionSemantics& semantics, const PartialMatchOptions& options) {
+  const PatternTree& pattern = plan.pattern();
   // Subtree indexes, ascending: parents precede children in pattern-index
   // order, so ascending order is exactly the relative order the full
   // enumeration assigns these nodes in.
@@ -403,8 +425,7 @@ Result<std::vector<std::vector<NodeId>>> FindPartialMatches(
     }
   }
   std::sort(subset.begin(), subset.end());
-  return Enumerator(pattern, subset, options.head_must_be_root, tree,
-                    semantics)
+  return Enumerator(plan, subset, options.head_must_be_root, tree, semantics)
       .RunPartial();
 }
 
@@ -417,8 +438,9 @@ Result<std::vector<Embedding>> FindEmbeddings(
 Result<std::vector<Embedding>> FindEmbeddings(
     const PatternTree& pattern, const DataTree& tree,
     const ConditionSemantics& semantics, const EmbeddingOptions& options) {
-  TOSS_RETURN_NOT_OK(pattern.Validate());
-  return Enumerator(pattern, tree, semantics, options).Run();
+  TOSS_ASSIGN_OR_RETURN(EmbeddingPlan plan,
+                        EmbeddingPlan::Build(pattern, options));
+  return plan.Run(tree, semantics);
 }
 
 DataTree BuildWitnessTree(const PatternTree& pattern, const DataTree& tree,

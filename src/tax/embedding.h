@@ -7,8 +7,8 @@
 //
 // Enumeration is backtracking over pattern nodes in parent-before-child
 // order, with single-node atoms from conjunctive context pushed down as
-// candidate filters (the classic selection-pushdown optimization; the full
-// condition is still checked on every complete mapping).
+// candidate filters (the classic selection-pushdown optimization); every
+// complete mapping is then checked against the conjuncts no filter covers.
 //
 // When the data tree carries a tag index (DataTree::BuildTagIndex; built
 // automatically by FromXml) and a pattern node's conjunctive atoms pin its
@@ -18,12 +18,18 @@
 // tag before any condition evaluation runs (pc/ad nodes). Candidate order
 // is preserved exactly, so results are byte-identical to the naive
 // enumeration, including the order of embeddings.
+//
+// All of that is derived from the pattern alone, so it is compiled once per
+// query into an EmbeddingPlan and reused for every document the query
+// visits; FindEmbeddings plans and runs in one call.
 
 #ifndef TOSS_TAX_EMBEDDING_H_
 #define TOSS_TAX_EMBEDDING_H_
 
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -45,8 +51,58 @@ struct EmbeddingOptions {
   bool use_tag_index = true;
 };
 
+/// A pattern compiled for enumeration: per pattern node, its single-label
+/// prefilter atoms, the tags its conjunctive atoms pin it to, and those
+/// tags lowered to interned ids. Holds pointers into the pattern, which
+/// must outlive the plan.
+///
+/// Id lowering probes the process dictionary (Interner::Find) once, when
+/// the plan is built, and drops a tag no tree can carry yet: every indexed
+/// tree interned its tags in BuildTagIndex. So a plan is sound for trees
+/// indexed before it was built, and for the whole query over a collection:
+/// store::Collection interns every tag of a document (UpdatePostings)
+/// before the document becomes visible, and decoded trees carry the same
+/// tags.
+class EmbeddingPlan {
+ public:
+  /// Validates `pattern` and compiles it.
+  static Result<EmbeddingPlan> Build(const PatternTree& pattern,
+                                     const EmbeddingOptions& options = {});
+
+  const PatternTree& pattern() const { return *pattern_; }
+
+  /// Enumerates all embeddings of the pattern into `tree` whose witness
+  /// satisfies the pattern's condition under `semantics`, in the naive
+  /// enumeration's order.
+  Result<std::vector<Embedding>> Run(const DataTree& tree,
+                                     const ConditionSemantics& semantics) const;
+
+  /// Per pattern node (by index): what enumeration pushes down.
+  struct NodePlan {
+    std::vector<const Condition*> prefilters;  ///< single-label atoms
+    /// The tags the node is pinned to; unset when unpinned (or the plan
+    /// was built without tag-index use).
+    std::optional<std::set<std::string>> tags;
+    std::vector<SymbolId> tag_ids;  ///< `tags` interned, ascending
+  };
+  const NodePlan& node(size_t index) const { return nodes_[index]; }
+
+  /// The condition's conjuncts that no prefilter checks, in evaluation
+  /// order. A complete embedding passed every prefilter, and an atom's
+  /// value depends only on the nodes it names, so the final check
+  /// evaluates these alone: the condition's verdict, error included.
+  const std::vector<const Condition*>& residual() const { return residual_; }
+
+ private:
+  explicit EmbeddingPlan(const PatternTree& pattern) : pattern_(&pattern) {}
+
+  const PatternTree* pattern_;
+  std::vector<NodePlan> nodes_;
+  std::vector<const Condition*> residual_;
+};
+
 /// Enumerates all embeddings of `pattern` into `tree` whose witness
-/// satisfies the pattern's condition under `semantics`.
+/// satisfies the pattern's condition under `semantics` (plans and runs).
 Result<std::vector<Embedding>> FindEmbeddings(
     const PatternTree& pattern, const DataTree& tree,
     const ConditionSemantics& semantics);
@@ -78,14 +134,14 @@ struct PartialMatchOptions {
   bool head_must_be_root = false;
 };
 
-/// Enumerates mappings of the `pattern` subtree rooted at node index `head`
-/// into `tree`, with the full enumeration's candidate order and prefilter
-/// pushdown but WITHOUT the final whole-condition check (the join engine
-/// completes mappings across trees first). Each tuple holds the images of
-/// the subtree's pattern nodes in ascending pattern-index order (head
-/// first).
+/// Enumerates mappings of the plan's pattern subtree rooted at node index
+/// `head` into `tree`, with the full enumeration's candidate order and
+/// prefilter pushdown but WITHOUT the final condition check (the join
+/// engine completes mappings across trees first). Each tuple holds the
+/// images of the subtree's pattern nodes in ascending pattern-index order
+/// (head first). The plan must be built with tag-index use on.
 Result<std::vector<std::vector<NodeId>>> FindPartialMatches(
-    const PatternTree& pattern, size_t head, const DataTree& tree,
+    const EmbeddingPlan& plan, size_t head, const DataTree& tree,
     const ConditionSemantics& semantics, const PartialMatchOptions& options);
 
 /// Conjunctive-context tag constraints per label: a bare tag-equality atom

@@ -2,33 +2,32 @@
 
 #include <map>
 #include <set>
-#include <unordered_set>
 
 namespace toss::tax {
 
-namespace {
-
-/// Appends `tree` to `out` unless an equal tree (CanonicalKey) was appended
-/// before.
-class Deduper {
- public:
-  void Add(DataTree tree, TreeCollection* out) {
-    if (tree.empty()) return;
-    if (seen_.insert(tree.CanonicalKey()).second) {
-      out->push_back(std::move(tree));
-    }
+bool TreeSet::Contains(const TreeCollection& trees, const DataTree& tree,
+                       uint64_t hash) const {
+  auto [begin, end] = by_hash_.equal_range(hash);
+  for (auto it = begin; it != end; ++it) {
+    if (trees[it->second].Equals(tree)) return true;
   }
+  return false;
+}
 
- private:
-  std::unordered_set<std::string> seen_;
-};
+bool TreeDeduper::Admit(const DataTree& tree, uint64_t hash) {
+  if (tree.empty() || seen_.Contains(*out_, tree, hash)) return false;
+  seen_.Add(out_->size(), hash);
+  return true;
+}
+
+namespace {
 
 /// Builds the induced forest over `kept` nodes of `src`: top-most kept
 /// nodes become roots of separate output trees; descendants attach to their
 /// closest kept ancestor. `full` nodes bring their whole data subtree.
 void BuildForest(const DataTree& src, NodeId src_id,
                  const std::set<NodeId>& kept, const std::set<NodeId>& full,
-                 DataTree* current, NodeId current_parent, Deduper* dedup,
+                 DataTree* current, NodeId current_parent,
                  TreeCollection* out) {
   bool is_kept = kept.count(src_id) > 0;
   if (is_kept && current == nullptr) {
@@ -43,10 +42,10 @@ void BuildForest(const DataTree& src, NodeId src_id,
       tree.node(id).content_type = n.content_type;
       tree.node(id).provenance = n.provenance;
       for (NodeId c : src.node(src_id).children) {
-        BuildForest(src, c, kept, full, &tree, id, dedup, out);
+        BuildForest(src, c, kept, full, &tree, id, out);
       }
     }
-    dedup->Add(std::move(tree), out);
+    out->push_back(std::move(tree));
     return;
   }
   NodeId next_parent = current_parent;
@@ -63,32 +62,40 @@ void BuildForest(const DataTree& src, NodeId src_id,
     next_parent = id;
   }
   for (NodeId c : src.node(src_id).children) {
-    BuildForest(src, c, kept, full, current, next_parent, dedup, out);
+    BuildForest(src, c, kept, full, current, next_parent, out);
   }
 }
 
 }  // namespace
 
 Result<TreeCollection> SelectTree(const DataTree& tree,
-                                  const PatternTree& pattern,
+                                  const EmbeddingPlan& plan,
                                   const std::set<int>& expand,
                                   const ConditionSemantics& semantics) {
   TOSS_ASSIGN_OR_RETURN(std::vector<Embedding> embeddings,
-                        FindEmbeddings(pattern, tree, semantics));
+                        plan.Run(tree, semantics));
   TreeCollection out;
-  Deduper dedup;
+  out.reserve(embeddings.size());
   for (const Embedding& h : embeddings) {
-    dedup.Add(BuildWitnessTree(pattern, tree, h, expand), &out);
+    out.push_back(BuildWitnessTree(plan.pattern(), tree, h, expand));
   }
   return out;
 }
 
+Result<TreeCollection> SelectTree(const DataTree& tree,
+                                  const PatternTree& pattern,
+                                  const std::set<int>& expand,
+                                  const ConditionSemantics& semantics) {
+  TOSS_ASSIGN_OR_RETURN(EmbeddingPlan plan, EmbeddingPlan::Build(pattern));
+  return SelectTree(tree, plan, expand, semantics);
+}
+
 Result<TreeCollection> ProjectTree(const DataTree& tree,
-                                   const PatternTree& pattern,
+                                   const EmbeddingPlan& plan,
                                    const std::vector<ProjectItem>& pl,
                                    const ConditionSemantics& semantics) {
   TOSS_ASSIGN_OR_RETURN(std::vector<Embedding> embeddings,
-                        FindEmbeddings(pattern, tree, semantics));
+                        plan.Run(tree, semantics));
   std::set<NodeId> kept;
   std::set<NodeId> full;
   for (const Embedding& h : embeddings) {
@@ -101,22 +108,21 @@ Result<TreeCollection> ProjectTree(const DataTree& tree,
   }
   TreeCollection out;
   if (kept.empty()) return out;
-  Deduper dedup;
-  BuildForest(tree, tree.root(), kept, full, nullptr, kInvalidNode, &dedup,
-              &out);
+  BuildForest(tree, tree.root(), kept, full, nullptr, kInvalidNode, &out);
   return out;
 }
 
 Result<std::vector<GroupedWitness>> GroupByTree(
-    const DataTree& tree, const PatternTree& pattern, int group_label,
+    const DataTree& tree, const EmbeddingPlan& plan, int group_label,
     const std::set<int>& expand, const ConditionSemantics& semantics) {
+  const PatternTree& pattern = plan.pattern();
   if (pattern.IndexOfLabel(group_label) < 0) {
     return Status::InvalidArgument("GroupBy: label $" +
                                    std::to_string(group_label) +
                                    " is not a pattern node");
   }
   TOSS_ASSIGN_OR_RETURN(std::vector<Embedding> embeddings,
-                        FindEmbeddings(pattern, tree, semantics));
+                        plan.Run(tree, semantics));
   std::vector<GroupedWitness> out;
   out.reserve(embeddings.size());
   for (const Embedding& h : embeddings) {
@@ -130,16 +136,21 @@ Result<std::vector<GroupedWitness>> GroupByTree(
 
 TreeCollection AssembleGroups(std::vector<std::vector<GroupedWitness>> parts) {
   // Grouping value -> (first-occurrence order, deduped member trees).
+  struct Group {
+    TreeCollection members;
+    TreeSet seen;
+  };
   std::vector<std::string> group_order;
-  std::map<std::string, TreeCollection> groups;
-  std::map<std::string, std::unordered_set<std::string>> seen;
+  std::map<std::string, Group> groups;
   for (std::vector<GroupedWitness>& part : parts) {
     for (GroupedWitness& gw : part) {
-      if (groups.find(gw.value) == groups.end()) {
-        group_order.push_back(gw.value);
-      }
-      if (seen[gw.value].insert(gw.witness.CanonicalKey()).second) {
-        groups[gw.value].push_back(std::move(gw.witness));
+      auto [it, inserted] = groups.try_emplace(gw.value);
+      if (inserted) group_order.push_back(gw.value);
+      Group& g = it->second;
+      const uint64_t hash = gw.witness.StructuralHash();
+      if (!g.seen.Contains(g.members, gw.witness, hash)) {
+        g.seen.Add(g.members.size(), hash);
+        g.members.push_back(std::move(gw.witness));
       }
     }
   }
@@ -148,7 +159,7 @@ TreeCollection AssembleGroups(std::vector<std::vector<GroupedWitness>> parts) {
   for (const std::string& value : group_order) {
     DataTree group;
     NodeId root = group.CreateRoot(kGroupRootTag, value);
-    TreeCollection& members = groups[value];
+    const TreeCollection& members = groups[value].members;
     group.node(root).provenance = members.size();  // count aggregate
     for (const DataTree& member : members) {
       group.CopySubtree(member, member.root(), root);
@@ -163,7 +174,7 @@ Result<TreeCollection> JoinTreeWithRight(
     const PatternTree& pattern, const std::set<int>& expand,
     const ConditionSemantics& semantics) {
   TreeCollection out;
-  Deduper dedup;
+  TreeDeduper dedup(&out);
   for (const DataTree* b : right) {
     DataTree pair;
     NodeId root = pair.CreateRoot(kProductRootTag);
@@ -173,7 +184,7 @@ Result<TreeCollection> JoinTreeWithRight(
     TOSS_ASSIGN_OR_RETURN(std::vector<Embedding> embeddings,
                           FindEmbeddings(pattern, pair, semantics));
     for (const Embedding& h : embeddings) {
-      dedup.Add(BuildWitnessTree(pattern, pair, h, expand), &out);
+      dedup.Add(BuildWitnessTree(pattern, pair, h, expand));
     }
   }
   return out;
@@ -181,11 +192,9 @@ Result<TreeCollection> JoinTreeWithRight(
 
 TreeCollection MergeDedup(std::vector<TreeCollection> parts) {
   TreeCollection out;
-  Deduper dedup;
+  TreeDeduper dedup(&out);
   for (TreeCollection& part : parts) {
-    for (DataTree& tree : part) {
-      dedup.Add(std::move(tree), &out);
-    }
+    for (DataTree& tree : part) dedup.Add(std::move(tree));
   }
   return out;
 }
@@ -194,12 +203,13 @@ Result<TreeCollection> Select(const TreeCollection& input,
                               const PatternTree& pattern,
                               const std::vector<int>& sl,
                               const ConditionSemantics& semantics) {
+  TOSS_ASSIGN_OR_RETURN(EmbeddingPlan plan, EmbeddingPlan::Build(pattern));
   std::set<int> expand(sl.begin(), sl.end());
   std::vector<TreeCollection> parts;
   parts.reserve(input.size());
   for (const DataTree& tree : input) {
     TOSS_ASSIGN_OR_RETURN(TreeCollection part,
-                          SelectTree(tree, pattern, expand, semantics));
+                          SelectTree(tree, plan, expand, semantics));
     parts.push_back(std::move(part));
   }
   return MergeDedup(std::move(parts));
@@ -209,11 +219,12 @@ Result<TreeCollection> Project(const TreeCollection& input,
                                const PatternTree& pattern,
                                const std::vector<ProjectItem>& pl,
                                const ConditionSemantics& semantics) {
+  TOSS_ASSIGN_OR_RETURN(EmbeddingPlan plan, EmbeddingPlan::Build(pattern));
   std::vector<TreeCollection> parts;
   parts.reserve(input.size());
   for (const DataTree& tree : input) {
     TOSS_ASSIGN_OR_RETURN(TreeCollection part,
-                          ProjectTree(tree, pattern, pl, semantics));
+                          ProjectTree(tree, plan, pl, semantics));
     parts.push_back(std::move(part));
   }
   return MergeDedup(std::move(parts));
@@ -267,13 +278,14 @@ Result<TreeCollection> GroupBy(const TreeCollection& input,
                                    std::to_string(group_label) +
                                    " is not a pattern node");
   }
+  TOSS_ASSIGN_OR_RETURN(EmbeddingPlan plan, EmbeddingPlan::Build(pattern));
   std::set<int> expand(sl.begin(), sl.end());
   std::vector<std::vector<GroupedWitness>> parts;
   parts.reserve(input.size());
   for (const DataTree& tree : input) {
     TOSS_ASSIGN_OR_RETURN(
         std::vector<GroupedWitness> part,
-        GroupByTree(tree, pattern, group_label, expand, semantics));
+        GroupByTree(tree, plan, group_label, expand, semantics));
     parts.push_back(std::move(part));
   }
   return AssembleGroups(std::move(parts));
@@ -282,34 +294,42 @@ Result<TreeCollection> GroupBy(const TreeCollection& input,
 TreeCollection Union(const TreeCollection& left,
                      const TreeCollection& right) {
   TreeCollection out;
-  Deduper dedup;
-  for (const DataTree& t : left) dedup.Add(t, &out);
-  for (const DataTree& t : right) dedup.Add(t, &out);
+  TreeDeduper dedup(&out);
+  for (const DataTree& t : left) dedup.Add(t);
+  for (const DataTree& t : right) dedup.Add(t);
   return out;
 }
 
-TreeCollection Intersect(const TreeCollection& left,
-                         const TreeCollection& right) {
-  std::unordered_set<std::string> right_keys;
-  for (const DataTree& t : right) right_keys.insert(t.CanonicalKey());
+namespace {
+
+/// Left trees, deduplicated, that do (`keep_shared`) or do not occur in
+/// `right`.
+TreeCollection FilterByRight(const TreeCollection& left,
+                             const TreeCollection& right, bool keep_shared) {
+  TreeSet right_set;
+  for (size_t i = 0; i < right.size(); ++i) {
+    right_set.Add(i, right[i].StructuralHash());
+  }
   TreeCollection out;
-  Deduper dedup;
+  TreeDeduper dedup(&out);
   for (const DataTree& t : left) {
-    if (right_keys.count(t.CanonicalKey())) dedup.Add(t, &out);
+    if (right_set.Contains(right, t, t.StructuralHash()) == keep_shared) {
+      dedup.Add(t);
+    }
   }
   return out;
+}
+
+}  // namespace
+
+TreeCollection Intersect(const TreeCollection& left,
+                         const TreeCollection& right) {
+  return FilterByRight(left, right, /*keep_shared=*/true);
 }
 
 TreeCollection Difference(const TreeCollection& left,
                           const TreeCollection& right) {
-  std::unordered_set<std::string> right_keys;
-  for (const DataTree& t : right) right_keys.insert(t.CanonicalKey());
-  TreeCollection out;
-  Deduper dedup;
-  for (const DataTree& t : left) {
-    if (!right_keys.count(t.CanonicalKey())) dedup.Add(t, &out);
-  }
-  return out;
+  return FilterByRight(left, right, /*keep_shared=*/false);
 }
 
 }  // namespace toss::tax

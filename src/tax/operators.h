@@ -6,8 +6,10 @@
 #ifndef TOSS_TAX_OPERATORS_H_
 #define TOSS_TAX_OPERATORS_H_
 
+#include <cstdint>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -86,22 +88,29 @@ TreeCollection Difference(const TreeCollection& left,
 // --- Per-tree primitives ---------------------------------------------------
 //
 // Each collection operator above factors into an independent per-input-tree
-// step plus an order-preserving merge. The executor fans the per-tree steps
-// out across a worker pool and merges in input order, which reproduces the
-// sequential output byte-for-byte: duplicates are collapsed by canonical
-// key at merge time exactly as the sequential global dedup would.
+// step plus an order-preserving merge. The executor compiles the pattern
+// once (EmbeddingPlan), fans the per-tree steps out across a worker pool
+// and merges in input order, which reproduces the sequential output
+// byte-for-byte: the merge is the one place duplicates are collapsed, as
+// the sequential global dedup would.
 
-/// Witness trees of `pattern` in `tree`, in embedding order, duplicates
-/// within the tree collapsed.
+/// Witness trees of the plan's pattern in `tree`, in embedding order, not
+/// deduplicated (MergeDedup collapses duplicates within and across trees).
+Result<TreeCollection> SelectTree(const DataTree& tree,
+                                  const EmbeddingPlan& plan,
+                                  const std::set<int>& expand,
+                                  const ConditionSemantics& semantics);
+
+/// SelectTree for a single tree: plans `pattern`, then runs it.
 Result<TreeCollection> SelectTree(const DataTree& tree,
                                   const PatternTree& pattern,
                                   const std::set<int>& expand,
                                   const ConditionSemantics& semantics);
 
 /// Projection of a single tree: the induced forest over PL-matched nodes,
-/// duplicates within the tree collapsed.
+/// not deduplicated (MergeDedup collapses duplicates).
 Result<TreeCollection> ProjectTree(const DataTree& tree,
-                                   const PatternTree& pattern,
+                                   const EmbeddingPlan& plan,
                                    const std::vector<ProjectItem>& pl,
                                    const ConditionSemantics& semantics);
 
@@ -114,7 +123,7 @@ struct GroupedWitness {
 /// Grouping values and witnesses of a single tree, in embedding order, not
 /// deduplicated (group membership dedup spans trees; AssembleGroups does it).
 Result<std::vector<GroupedWitness>> GroupByTree(
-    const DataTree& tree, const PatternTree& pattern, int group_label,
+    const DataTree& tree, const EmbeddingPlan& plan, int group_label,
     const std::set<int>& expand, const ConditionSemantics& semantics);
 
 /// Builds the GroupBy output from per-tree grouped witnesses concatenated
@@ -131,8 +140,50 @@ Result<TreeCollection> JoinTreeWithRight(
     const ConditionSemantics& semantics);
 
 /// Concatenates per-tree results in order, collapsing duplicates globally
-/// by canonical key (first occurrence wins).
+/// (first occurrence wins).
 TreeCollection MergeDedup(std::vector<TreeCollection> parts);
+
+/// Trees of a caller-owned collection keyed by StructuralHash, with Equals
+/// settling a hash collision. Holds indexes, so the collection may grow
+/// between calls.
+class TreeSet {
+ public:
+  /// True when a tree equal to `tree` (whose hash is `hash`) was added.
+  bool Contains(const TreeCollection& trees, const DataTree& tree,
+                uint64_t hash) const;
+
+  /// Adds the tree at `index` of the collection, whose hash is `hash`.
+  void Add(size_t index, uint64_t hash) { by_hash_.emplace(hash, index); }
+
+ private:
+  std::unordered_multimap<uint64_t, size_t> by_hash_;
+};
+
+/// Appends non-empty trees to `out` unless an equal tree was appended
+/// through it before: the duplicate filter of every operator, MergeDedup
+/// and the twig join. No canonical string is built.
+class TreeDeduper {
+ public:
+  explicit TreeDeduper(TreeCollection* out) : out_(out) {}
+
+  void Add(DataTree tree) {
+    const uint64_t hash = tree.StructuralHash();
+    if (Admit(tree, hash)) out_->push_back(std::move(tree));
+  }
+
+  /// Appends a copy of `tree`, whose StructuralHash is `hash`, unless it is
+  /// a duplicate.
+  void AddCopy(const DataTree& tree, uint64_t hash) {
+    if (Admit(tree, hash)) out_->push_back(tree);
+  }
+
+ private:
+  /// Records `tree` at the end of `out_` when it is new and non-empty.
+  bool Admit(const DataTree& tree, uint64_t hash);
+
+  TreeCollection* out_;
+  TreeSet seen_;
+};
 
 }  // namespace toss::tax
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "tax/embedding.h"
@@ -44,27 +43,6 @@ inline bool Intersects(const std::vector<uint64_t>& a,
   return false;
 }
 
-/// Mirrors the per-part dedup of JoinTreeWithRight: empty trees dropped,
-/// first occurrence of a canonical key wins.
-class PartDedup {
- public:
-  void Add(DataTree tree, TreeCollection* out) {
-    if (tree.empty()) return;
-    if (seen_.insert(tree.CanonicalKey()).second) {
-      out->push_back(std::move(tree));
-    }
-  }
-
-  void AddCopy(const DataTree& tree, const std::string& key,
-               TreeCollection* out) {
-    if (tree.empty()) return;
-    if (seen_.insert(key).second) out->push_back(tree);
-  }
-
- private:
-  std::unordered_set<std::string> seen_;
-};
-
 }  // namespace
 
 /// Per-(left, pair) merge state: replays the product tree's backtracking
@@ -79,13 +57,12 @@ class TwigMerger {
  public:
   TwigMerger(const TwigJoiner& plan, const TwigDoc& left,
              const CancelToken* cancel, TwigJoinStats* stats,
-             PartDedup* dedup, TreeCollection* out)
+             TreeDeduper* dedup)
       : plan_(plan),
         left_(left),
         cancel_(cancel),
         stats_(stats),
-        dedup_(dedup),
-        out_(out) {}
+        dedup_(dedup) {}
 
   Status MergePair(const TwigDoc& right) {
     right_ = &right;
@@ -209,7 +186,7 @@ class TwigMerger {
         NodeId root = w.CreateRoot(kProductRootTag);
         w.CopySubtree(*left_.tree, left_.tree->root(), root);
         w.CopySubtree(*right_->tree, right_->tree->root(), root);
-        dedup_->Add(std::move(w), out_);
+        dedup_->Add(std::move(w));
         pair_witness_added_ = true;
       }
       return Status::OK();
@@ -244,7 +221,7 @@ class TwigMerger {
       AppendWitness(*right_->tree, right_->tree->root(), wit[1], exp[1], &w,
                     root);
     }
-    dedup_->Add(std::move(w), out_);
+    dedup_->Add(std::move(w));
     return Status::OK();
   }
 
@@ -281,8 +258,7 @@ class TwigMerger {
   const TwigDoc* right_ = nullptr;
   const CancelToken* cancel_;
   TwigJoinStats* stats_;
-  PartDedup* dedup_;
-  TreeCollection* out_;
+  TreeDeduper* dedup_;
   std::vector<Run> runs_;
   bool pair_witness_added_ = false;
   uint64_t advances_ = 0;
@@ -296,8 +272,12 @@ std::unique_ptr<TwigJoiner> TwigJoiner::Plan(
     const PatternTree& pattern, const std::set<int>& expand,
     const ConditionSemantics& semantics, const SimilarOracle* oracle) {
   if (pattern.empty() || pattern.node(0).children.empty()) return nullptr;
+  // An invalid pattern takes the pairwise path, which reports the error.
+  Result<EmbeddingPlan> embedding_plan = EmbeddingPlan::Build(pattern);
+  if (!embedding_plan.ok()) return nullptr;
   std::unique_ptr<TwigJoiner> j(new TwigJoiner());
   j->pattern_ = &pattern;
+  j->embedding_plan_.emplace(std::move(embedding_plan).value());
   j->expand_ = expand;
   j->semantics_ = &semantics;
   j->oracle_ = oracle;
@@ -398,8 +378,8 @@ Result<TwigDoc> TwigJoiner::Prepare(std::shared_ptr<const DataTree> tree,
     PartialMatchOptions opt;
     opt.head_must_be_root = subtrees_[s].head_must_be_root;
     TOSS_ASSIGN_OR_RETURN(
-        d.tuples[s], FindPartialMatches(*pattern_, subtrees_[s].head, *d.tree,
-                                        *semantics_, opt));
+        d.tuples[s], FindPartialMatches(*embedding_plan_, subtrees_[s].head,
+                                        *d.tree, *semantics_, opt));
     if (d.tuples[s].size() > kMaxPostingsPerSubtree) {
       // Pathological fan-out: materializing postings would dwarf the
       // pairwise scan they replace.
@@ -413,11 +393,11 @@ Result<TwigDoc> TwigJoiner::Prepare(std::shared_ptr<const DataTree> tree,
   // maps into one operand) repeat identically in every pair the document
   // participates in; memoize their witnesses once.
   TOSS_ASSIGN_OR_RETURN(std::vector<Embedding> inside,
-                        FindEmbeddings(*pattern_, *d.tree, *semantics_));
+                        embedding_plan_->Run(*d.tree, *semantics_));
   d.inside.reserve(inside.size());
   for (const Embedding& h : inside) {
     DataTree w = BuildWitnessTree(*pattern_, *d.tree, h, expand_);
-    d.inside_keys.push_back(w.CanonicalKey());
+    d.inside_hashes.push_back(w.StructuralHash());
     d.inside.push_back(std::move(w));
   }
   return d;
@@ -667,8 +647,10 @@ Result<TreeCollection> TwigJoiner::JoinLeft(
     const TwigValueFilter* value_filter, const CancelToken* cancel,
     TwigJoinStats* stats) const {
   TreeCollection out;
-  PartDedup dedup;
-  TwigMerger merger(*this, left, cancel, stats, &dedup, &out);
+  // The per-part dedup of JoinTreeWithRight: empty trees dropped, the
+  // first of equal trees wins.
+  TreeDeduper dedup(&out);
+  TwigMerger merger(*this, left, cancel, stats, &dedup);
   for (size_t r = 0; r < rights.size(); ++r) {
     TOSS_RETURN_NOT_OK(CheckCancel(cancel));
     const TwigDoc& right = *rights[r];
@@ -705,11 +687,11 @@ Result<TreeCollection> TwigJoiner::JoinLeft(
     // dedup'd, so they are emitted for the first pair only.
     if (r == 0) {
       for (size_t i = 0; i < left.inside.size(); ++i) {
-        dedup.AddCopy(left.inside[i], left.inside_keys[i], &out);
+        dedup.AddCopy(left.inside[i], left.inside_hashes[i]);
       }
     }
     for (size_t i = 0; i < right.inside.size(); ++i) {
-      dedup.AddCopy(right.inside[i], right.inside_keys[i], &out);
+      dedup.AddCopy(right.inside[i], right.inside_hashes[i]);
     }
   }
   merger.Flush();

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -41,6 +42,7 @@
 #include "common/result.h"
 #include "tax/condition.h"
 #include "tax/data_tree.h"
+#include "tax/embedding.h"
 #include "tax/pattern_tree.h"
 
 namespace toss::tax {
@@ -128,9 +130,9 @@ struct TwigDoc {
 
   /// Witnesses of embeddings wholly inside this document (the join groups
   /// whose pattern root maps into one operand), in embedding order, with
-  /// their canonical keys precomputed for cross-part dedup.
+  /// their structural hashes precomputed for cross-part dedup.
   std::vector<DataTree> inside;
-  std::vector<std::string> inside_keys;
+  std::vector<uint64_t> inside_hashes;
 
   /// False when the tree lacks a faithful tag index or preorder ids, or a
   /// posting list exceeded the materialization cap: the caller must fall
@@ -201,7 +203,9 @@ class TwigValueFilter {
 
 /// The planned decomposition of one join pattern. Plan once per join; the
 /// joiner is then read-only and shared across worker threads. The pattern,
-/// semantics, and oracle must outlive it.
+/// semantics, and oracle must outlive it. Its EmbeddingPlan is built in
+/// Plan, so Prepare takes trees the EmbeddingPlan contract covers: store
+/// documents, or trees tag-indexed before Plan.
 class TwigJoiner {
  public:
   /// Builds the plan, or nullptr when the pattern shape is outside the
@@ -321,6 +325,8 @@ class TwigJoiner {
   void FlattenCondition(const Condition& c);
 
   const PatternTree* pattern_ = nullptr;
+  /// The pattern compiled once per join, shared by every Prepare.
+  std::optional<EmbeddingPlan> embedding_plan_;
   std::set<int> expand_;
   const ConditionSemantics* semantics_ = nullptr;
   const SimilarOracle* oracle_ = nullptr;

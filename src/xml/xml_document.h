@@ -68,6 +68,9 @@ class XmlDocument {
 
   bool empty() const { return nodes_.empty(); }
   size_t size() const { return nodes_.size(); }
+  /// Reserves room for `n` nodes, so building a document of known size
+  /// moves no node.
+  void Reserve(size_t n) { nodes_.reserve(n); }
   NodeId root() const { return nodes_.empty() ? kInvalidNode : 0; }
 
   const XmlNode& node(NodeId id) const { return nodes_[id]; }

@@ -11,24 +11,55 @@ bool IsTextOnly(const XmlDocument& doc, NodeId id) {
   return true;
 }
 
+/// Appends `s` escaped, copying the runs between escaped bytes whole.
+void AppendEscaped(std::string_view s, std::string* out) {
+  size_t run = 0;  // start of the run not yet copied
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char* entity;
+    switch (s[i]) {
+      case '&':
+        entity = "&amp;";
+        break;
+      case '<':
+        entity = "&lt;";
+        break;
+      case '>':
+        entity = "&gt;";
+        break;
+      case '"':
+        entity = "&quot;";
+        break;
+      default:
+        continue;
+    }
+    out->append(s.data() + run, i - run);
+    *out += entity;
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+void Indent(const WriteOptions& opts, int depth, std::string* out) {
+  if (opts.pretty) out->append(2 * static_cast<size_t>(depth), ' ');
+}
+
 void WriteNode(const XmlDocument& doc, NodeId id, const WriteOptions& opts,
                int depth, std::string* out) {
   const XmlNode& n = doc.node(id);
-  std::string indent = opts.pretty ? std::string(2 * depth, ' ') : "";
   if (n.kind == NodeKind::kText) {
-    *out += indent;
-    *out += EscapeText(n.text);
+    Indent(opts, depth, out);
+    AppendEscaped(n.text, out);
     if (opts.pretty) *out += '\n';
     return;
   }
-  *out += indent;
+  Indent(opts, depth, out);
   *out += '<';
   *out += n.tag;
   for (const auto& attr : n.attributes) {
     *out += ' ';
     *out += attr.name;
     *out += "=\"";
-    *out += EscapeText(attr.value);
+    AppendEscaped(attr.value, out);
     *out += '"';
   }
   if (n.children.empty()) {
@@ -39,7 +70,7 @@ void WriteNode(const XmlDocument& doc, NodeId id, const WriteOptions& opts,
   *out += '>';
   if (opts.pretty && IsTextOnly(doc, id)) {
     // Keep <title>Some text</title> on one line.
-    for (NodeId c : n.children) *out += EscapeText(doc.node(c).text);
+    for (NodeId c : n.children) AppendEscaped(doc.node(c).text, out);
     *out += "</";
     *out += n.tag;
     *out += ">\n";
@@ -49,7 +80,7 @@ void WriteNode(const XmlDocument& doc, NodeId id, const WriteOptions& opts,
   for (NodeId c : n.children) {
     WriteNode(doc, c, opts, depth + 1, out);
   }
-  *out += indent;
+  Indent(opts, depth, out);
   *out += "</";
   *out += n.tag;
   *out += '>';
@@ -61,24 +92,7 @@ void WriteNode(const XmlDocument& doc, NodeId id, const WriteOptions& opts,
 std::string EscapeText(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      default:
-        out += c;
-    }
-  }
+  AppendEscaped(s, &out);
   return out;
 }
 

@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -430,6 +433,93 @@ TEST(JsonTest, ParsesEscapes) {
   EXPECT_EQ(doc->AsString(), "q\"b\\s/n\nt\tuA");
   // Multi-byte \u escapes UTF-8 encode.
   EXPECT_EQ(JsonValue::Parse(R"("\u00e9")")->AsString(), "\xC3\xA9");
+}
+
+/// Random strings over the bytes string escaping cares about: every JSON
+/// and XML escape character, control bytes, DEL, UTF-8 sequences and plain
+/// ASCII, with an escape character forced into the first and last position
+/// of some strings.
+std::vector<std::string> EscapeProbeStrings(uint64_t seed) {
+  const std::vector<std::string> pieces = {
+      "\"", "\\", "/", "&", "<", ">", "'", "\b", "\f", "\n", "\r", "\t",
+      std::string(1, '\0'), "\x01", "\x1f", "\x7f", "\xC3\xA9",
+      "\xE2\x82\xAC", "\xF0\x9F\x98\x80", "\xFF", "a", "Z", " ", "09"};
+  Random rng(seed);
+  std::vector<std::string> out = {"", "\"", "\x01", "plain"};
+  for (int i = 0; i < 500; ++i) {
+    std::string s;
+    for (size_t n = rng.Uniform(12); n > 0; --n) s += rng.Choice(pieces);
+    if (i % 5 == 0) s = rng.Choice(pieces) + s;
+    if (i % 7 == 0) s += rng.Choice(pieces);
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+TEST(JsonTest, StringDumpMatchesByteAtATimeReference) {
+  using common::JsonValue;
+  auto reference = [](const std::string& s) {
+    std::string out = "\"";
+    for (char c : s) {
+      const auto u = static_cast<unsigned char>(c);
+      if (c == '"') {
+        out += "\\\"";
+      } else if (c == '\\') {
+        out += "\\\\";
+      } else if (c == '\b') {
+        out += "\\b";
+      } else if (c == '\f') {
+        out += "\\f";
+      } else if (c == '\n') {
+        out += "\\n";
+      } else if (c == '\r') {
+        out += "\\r";
+      } else if (c == '\t') {
+        out += "\\t";
+      } else if (u < 0x20) {
+        const char* hex = "0123456789abcdef";
+        out += "\\u00";
+        out += hex[u >> 4];
+        out += hex[u & 0xf];
+      } else {
+        out += c;
+      }
+    }
+    return out + "\"";
+  };
+  for (const std::string& s : EscapeProbeStrings(4242)) {
+    ASSERT_EQ(JsonValue::String(s).Dump(), reference(s));
+  }
+}
+
+TEST(JsonTest, NumberDumpMatchesPrintfReference) {
+  using common::JsonValue;
+  // Integers print with "%.0f"; other doubles with the fewest of 15, 16 or
+  // 17 "%g" digits that read back as the same double.
+  auto reference = [](double v) -> std::string {
+    char buf[40];
+    if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0) {
+      std::snprintf(buf, sizeof(buf), "%.0f", v);
+      return buf;
+    }
+    for (int prec = 15; prec <= 17; ++prec) {
+      std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+      if (std::strtod(buf, nullptr) == v) break;
+    }
+    return buf;
+  };
+  Random rng(99);
+  std::vector<double> values = {0.1, 0.3, 1.0 / 3.0, 2.5e-7, 1e21, -1e-300,
+                                5e-324, 1.7976931348623157e308, 123.456,
+                                9007199254740993.0, -0.0001};
+  for (int i = 0; i < 2000; ++i) {
+    const double mantissa = rng.NextDouble() * 2 - 1;
+    values.push_back(std::ldexp(mantissa, static_cast<int>(rng.Uniform(200)) - 100));
+    values.push_back(static_cast<double>(rng.Uniform(1000000)) / 1000.0);
+  }
+  for (double v : values) {
+    ASSERT_EQ(JsonValue::Number(v).Dump(), reference(v)) << v;
+  }
 }
 
 TEST(JsonTest, RejectsMalformedInput) {

@@ -133,6 +133,23 @@ TEST(CollectionTest, TermIndexPrunesContains) {
   EXPECT_EQ(stats.scanned_docs, 2u);
 }
 
+TEST(CollectionTest, ValuePostingsAreFilteredByWordPostings) {
+  Collection coll("c");
+  for (const char* xml : {"<t>a b c</t>", "<t>a x c</t>", "<t>q b r</t>",
+                          "<t>q b s</t>", "<t>q b u</t>"}) {
+    ASSERT_TRUE(coll.InsertXml("d" + std::to_string(coll.size()), xml).ok());
+  }
+  // The union of the value postings (d0, d1) is the smallest posting; the
+  // term posting of the enclosed word "b" drops d1 before any check.
+  PlanStep step = TagStep("t");
+  step.any_of = {{"a b c", "a x c"}};
+  step.contains = {"a b c"};
+  QueryStats stats;
+  EXPECT_EQ(Keys(coll, coll.PlanDocs({step}, &stats)),
+            (std::vector<std::string>{"d0"}));
+  EXPECT_EQ(stats.scanned_docs, 1u);
+}
+
 TEST(CollectionTest, MissingTagShortCircuits) {
   Collection coll = MakeSmallCollection();
   QueryStats stats;

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 #include "tax/data_tree.h"
+#include "tax/operators.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
 
@@ -117,6 +124,86 @@ TEST(DataTreeTest, CanonicalKeyInjective) {
   c.CreateRoot("ab", "c");
   d.CreateRoot("a", "bc");
   EXPECT_NE(c.CanonicalKey(), d.CanonicalKey());
+}
+
+/// Copies `src`'s subtree at `id` under `parent` of `out`, reversing the
+/// children of `flip`.
+void CopyFlipped(const DataTree& src, NodeId id, NodeId flip, DataTree* out,
+                 NodeId parent) {
+  const DataNode& n = src.node(id);
+  NodeId dst = parent == kInvalidNode ? out->CreateRoot(n.tag, n.content)
+                                      : out->AppendChild(parent, n.tag,
+                                                         n.content);
+  out->node(dst).tag_type = n.tag_type;
+  out->node(dst).content_type = n.content_type;
+  std::vector<NodeId> kids = n.children;
+  if (id == flip) std::reverse(kids.begin(), kids.end());
+  for (NodeId c : kids) CopyFlipped(src, c, flip, out, dst);
+}
+
+TEST(DataTreeTest, EqualsAndHashAgreeWithCanonicalKey) {
+  Random rng(5150);
+  const std::vector<std::string> tags = {"a", "b", "a*"};
+  const std::vector<std::string> contents = {"", "x", "xy"};
+  const std::vector<std::string> types = {kStringType, "year"};
+  TreeCollection pool;
+  for (int i = 0; i < 120; ++i) {
+    // Random parents: ids are not in preorder, unlike CopySubtree copies.
+    DataTree t;
+    t.CreateRoot(rng.Choice(tags), rng.Choice(contents));
+    for (size_t n = rng.Uniform(5); n > 0; --n) {
+      NodeId parent = static_cast<NodeId>(rng.Uniform(t.size()));
+      NodeId id = t.AppendChild(parent, rng.Choice(tags), rng.Choice(contents));
+      if (rng.Bernoulli(0.1)) t.node(id).provenance = rng.Uniform(3) + 1;
+    }
+    pool.push_back(t);
+    DataTree copy;  // same trees, preorder ids
+    copy.CopySubtree(t, t.root(), kInvalidNode);
+    pool.push_back(copy);
+    NodeId v = static_cast<NodeId>(rng.Uniform(t.size()));
+    DataTree tag_typed = t;  // differs only in one tag_type
+    tag_typed.node(v).tag_type = "year";
+    pool.push_back(tag_typed);
+    DataTree content_typed = t;  // differs only in one content_type
+    content_typed.node(v).content_type = rng.Choice(types);
+    pool.push_back(content_typed);
+    DataTree flipped;  // differs only in one node's sibling order
+    CopyFlipped(t, t.root(), v, &flipped, kInvalidNode);
+    pool.push_back(flipped);
+  }
+  size_t equal_pairs = 0, unequal_pairs = 0;
+  for (const DataTree& a : pool) {
+    for (const DataTree& b : pool) {
+      const bool same_key = a.CanonicalKey() == b.CanonicalKey();
+      ASSERT_EQ(a.Equals(b), same_key)
+          << a.CanonicalKey() << " vs " << b.CanonicalKey();
+      // Equal trees hash alike; the pool happens to hold no collision.
+      ASSERT_EQ(a.StructuralHash() == b.StructuralHash(), same_key)
+          << a.CanonicalKey() << " vs " << b.CanonicalKey();
+      ++(same_key ? equal_pairs : unequal_pairs);
+    }
+  }
+  EXPECT_GT(equal_pairs, 2 * pool.size());  // beyond each tree with itself
+  EXPECT_GT(unequal_pairs, pool.size() * pool.size() / 2);
+
+  // MergeDedup keeps the first tree of each CanonicalKey, in part order.
+  std::vector<TreeCollection> parts(4);
+  for (size_t i = 0; i < pool.size(); ++i) parts[i % 7 % 4].push_back(pool[i]);
+  TreeCollection expected;
+  std::set<std::string> seen;
+  for (const TreeCollection& part : parts) {
+    for (const DataTree& t : part) {
+      if (seen.insert(t.CanonicalKey()).second) expected.push_back(t);
+    }
+  }
+  TreeCollection merged = MergeDedup(std::move(parts));
+  ASSERT_EQ(merged.size(), expected.size());
+  for (size_t i = 0; i < merged.size(); ++i) {
+    ASSERT_EQ(merged[i].CanonicalKey(), expected[i].CanonicalKey()) << i;
+    for (NodeId v = 0; v < merged[i].size(); ++v) {  // the first one kept
+      EXPECT_EQ(merged[i].node(v).provenance, expected[i].node(v).provenance);
+    }
+  }
 }
 
 TEST(DataTreeTest, TotalNodes) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
 #include "tax/condition_parser.h"
 #include "tax/embedding.h"
 #include "tax/tax_semantics.h"
@@ -198,6 +203,121 @@ TEST(WitnessTreeTest, PreservesDocumentOrder) {
   ASSERT_EQ(kids.size(), 2u);
   EXPECT_EQ(w.node(kids[0]).tag, "author");
   EXPECT_EQ(w.node(kids[1]).tag, "title");
+}
+
+/// Appends every total mapping of pattern nodes `index`.. (earlier nodes
+/// fixed in `mapping`) whose whole condition holds, in the naive order:
+/// the root over all nodes by id, pc children in child order, ad
+/// descendants in preorder. Nothing is pushed down: no tag filter, no
+/// prefilter, the full condition at every leaf.
+Status BruteForce(const PatternTree& pattern, const DataTree& tree,
+                  const ConditionSemantics& sem, size_t index,
+                  LabelMap* mapping, std::vector<LabelMap>* out) {
+  if (index == pattern.node_count()) {
+    EmbeddingView view{&tree, mapping};
+    TOSS_ASSIGN_OR_RETURN(bool ok,
+                          EvalCondition(pattern.condition(), view, sem));
+    if (ok) out->push_back(*mapping);
+    return Status::OK();
+  }
+  const PatternNode& p = pattern.node(index);
+  std::vector<NodeId> candidates;
+  if (p.parent < 0) {
+    for (NodeId v = 0; v < tree.size(); ++v) candidates.push_back(v);
+  } else {
+    NodeId image = mapping->Get(pattern.node(p.parent).label);
+    candidates = p.edge_from_parent == EdgeKind::kPc
+                     ? tree.node(image).children
+                     : tree.Descendants(image);
+  }
+  for (NodeId v : candidates) {
+    mapping->Set(p.label, v);
+    TOSS_RETURN_NOT_OK(BruteForce(pattern, tree, sem, index + 1, mapping, out));
+    mapping->Erase(p.label);
+  }
+  return Status::OK();
+}
+
+TEST(EmbeddingPlanTest, OnePlanReusedAcrossTreesMatchesNaiveEnumeration) {
+  Random rng(2323);
+  const std::vector<std::string> tags = {"a", "b", "c", "item", "a*", "*"};
+  // Trees first: a plan lowers its tags to the ids the trees interned.
+  TreeCollection trees;
+  for (int i = 0; i < 200; ++i) {
+    DataTree t;
+    t.CreateRoot(rng.Choice(tags), rng.AlphaString(1 + rng.Uniform(2)));
+    for (size_t n = rng.Uniform(12); n > 0; --n) {
+      NodeId parent = static_cast<NodeId>(rng.Uniform(t.size()));
+      t.AppendChild(parent, rng.Choice(tags),
+                    rng.AlphaString(1 + rng.Uniform(2)));
+    }
+    if (i % 10 == 0) {
+      t.node(t.size() - 1).tag_type = "year";  // not TagFilterable
+    }
+    if (i % 4 == 1) {
+      xml::XmlDocument doc = t.ToXml();  // preorder ids, indexed
+      t = DataTree::FromXml(doc, doc.root());
+    } else if (i % 4 != 3) {
+      t.BuildTagIndex();  // i % 4 == 3: no tag index, hence no symbol ids
+    }
+    trees.push_back(std::move(t));
+  }
+  const std::vector<std::pair<std::string, std::vector<std::pair<int, EdgeKind>>>>
+      patterns = {
+          {"$1.tag = \"a\"", {}},
+          {"$1.tag = \"item\" & $2.tag = \"b\"", {{0, EdgeKind::kPc}}},
+          {"($1.tag = \"a\" | $1.tag = \"c\") & $2.tag = \"b\"",
+           {{0, EdgeKind::kAd}}},
+          {"$1.tag = \"b\" & $2.content != \"qq\" & $3.tag = \"zzz\"",
+           {{0, EdgeKind::kAd}, {0, EdgeKind::kPc}}},
+          {"$2.tag = \"c\" & ($3.tag = \"a\" | $3.tag = \"item\")",
+           {{0, EdgeKind::kAd}, {2, EdgeKind::kAd}}},
+          {"$1.content = $2.content", {{0, EdgeKind::kAd}}},
+          // Nested conjunctions around residual conjuncts (a two-label
+          // atom, a disjunction), and a disjunction at the top.
+          {"($1.tag = \"a\" & ($2.content != \"qq\" & "
+           "$1.content != $2.content)) & ($2.tag = \"b\" | $2.tag = \"c\")",
+           {{0, EdgeKind::kAd}}},
+          {"($1.tag = \"item\" & $2.content = $1.content) | $2.tag = \"b\"",
+           {{0, EdgeKind::kPc}}},
+      };
+  TaxSemantics sem;
+  EmbeddingOptions naive;
+  naive.use_tag_index = false;
+  size_t nonempty = 0;
+  for (const auto& [cond, edges] : patterns) {
+    PatternTree pattern = MakePattern(cond, edges);
+    auto plan = EmbeddingPlan::Build(pattern);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    for (size_t i = 0; i < trees.size(); ++i) {
+      auto planned = plan->Run(trees[i], sem);
+      auto plain = FindEmbeddings(pattern, trees[i], sem, naive);
+      ASSERT_EQ(planned.ok(), plain.ok()) << cond << " tree " << i;
+      if (!plain.ok()) {
+        EXPECT_EQ(planned.status().code(), plain.status().code());
+        continue;
+      }
+      // Prefilters and the residual final check decide as the whole
+      // condition does.
+      LabelMap mapping;
+      std::vector<LabelMap> brute;
+      ASSERT_TRUE(BruteForce(pattern, trees[i], sem, 0, &mapping, &brute).ok())
+          << cond << " tree " << i;
+      ASSERT_EQ(planned->size(), plain->size()) << cond << " tree " << i;
+      ASSERT_EQ(brute.size(), plain->size()) << cond << " tree " << i;
+      for (size_t e = 0; e < plain->size(); ++e) {
+        for (int label : pattern.Labels()) {
+          ASSERT_EQ((*planned)[e].mapping.Get(label),
+                    (*plain)[e].mapping.Get(label))
+              << cond << " tree " << i << " embedding " << e;
+          ASSERT_EQ(brute[e].Get(label), (*plain)[e].mapping.Get(label))
+              << cond << " tree " << i << " embedding " << e;
+        }
+      }
+      if (!plain->empty()) ++nonempty;
+    }
+  }
+  EXPECT_GT(nonempty, 200u);  // the equivalence is exercised nontrivially
 }
 
 TEST(EmbeddingTest, IllTypedConditionSurfacesError) {

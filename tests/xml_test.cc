@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 #include "xml/xml_document.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
@@ -158,6 +162,45 @@ TEST(XmlParserTest, AcceptsSingleQuotedAttributes) {
 
 TEST(XmlWriterTest, EscapesSpecialCharacters) {
   EXPECT_EQ(EscapeText("a<b>&\"c"), "a&lt;b&gt;&amp;&quot;c");
+}
+
+TEST(XmlWriterTest, EscapeTextMatchesByteAtATimeReference) {
+  auto reference = [](std::string_view s) {
+    std::string out;
+    for (char c : s) {
+      if (c == '&') {
+        out += "&amp;";
+      } else if (c == '<') {
+        out += "&lt;";
+      } else if (c == '>') {
+        out += "&gt;";
+      } else if (c == '"') {
+        out += "&quot;";
+      } else {
+        out += c;
+      }
+    }
+    return out;
+  };
+  // Every escape character, the JSON ones, control bytes, UTF-8 and plain
+  // ASCII; some strings start or end with an escape character.
+  const std::vector<std::string> pieces = {
+      "&", "<", ">", "\"", "'", "\\", "\n", "\t", std::string(1, '\0'),
+      "\x01", "\x7f", "\xC3\xA9", "\xF0\x9F\x98\x80", "\xFF", "a", " ", "09",
+      "&amp;"};
+  const std::vector<std::string> escaped = {"&", "<", ">", "\""};
+  Random rng(777);
+  std::vector<std::string> inputs = {"", "&", "<>", "plain"};
+  for (int i = 0; i < 500; ++i) {
+    std::string s;
+    for (size_t n = rng.Uniform(12); n > 0; --n) s += rng.Choice(pieces);
+    if (i % 5 == 0) s = rng.Choice(escaped) + s;
+    if (i % 7 == 0) s += rng.Choice(escaped);
+    inputs.push_back(std::move(s));
+  }
+  for (const std::string& s : inputs) {
+    ASSERT_EQ(EscapeText(s), reference(s));
+  }
 }
 
 TEST(XmlWriterTest, RoundTripsThroughParser) {
