@@ -51,7 +51,7 @@ void BM_Rewrite(benchmark::State& state) {
       setup.world.venues[0].short_name, setup.world.venues[0].category);
   size_t expanded = 0;
   for (auto _ : state) {
-    auto r = exec.RewriteToPlan(pattern, {}, &expanded);
+    auto r = exec.RewriteToPlan(pattern, &expanded);
     benchmark::DoNotOptimize(r.ok());
   }
   state.counters["seo_nodes"] =

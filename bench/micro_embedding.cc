@@ -1,8 +1,8 @@
 // Micro-benchmark: pattern-tree embedding enumeration over data trees of
 // growing size, for pc-only, ad-heavy, and condition-filtered patterns.
-// Each pattern runs both through the tag index (the default production
-// path) and with the index disabled (the naive full-scan enumeration) to
-// quantify the pruning win. Timing goes through bench::MeasureAdaptiveMs,
+// Each pattern runs both over a tree with a tag index (the production
+// path) and over the same tree built without one (the naive full-scan
+// enumeration) to quantify the pruning win. Timing goes through bench::MeasureAdaptiveMs,
 // so sub-50ms points repeat until their median stabilises; medians land in
 // the machine-readable bench report.
 
@@ -23,8 +23,9 @@ using toss::tax::DataTree;
 using toss::tax::EdgeKind;
 using toss::tax::PatternTree;
 
-/// A DBLP-shaped tree with `papers` inproceedings under one root.
-DataTree MakeTree(size_t papers) {
+/// A DBLP-shaped tree with `papers` inproceedings under one root, with a
+/// tag index when `indexed`.
+DataTree MakeTree(size_t papers, bool indexed) {
   Random rng(11);
   DataTree t;
   auto root = t.CreateRoot("dblp");
@@ -38,7 +39,7 @@ DataTree MakeTree(size_t papers) {
     t.AppendChild(paper, "year",
                   std::to_string(1995 + rng.Uniform(9)));
   }
-  t.BuildTagIndex();
+  if (indexed) t.BuildTagIndex();
   return t;
 }
 
@@ -79,7 +80,7 @@ PatternTree FilteredPattern() {
 struct Variant {
   const char* name;  ///< bench key component, kept from the old GB names
   PatternTree (*make)();
-  bool use_tag_index;
+  bool indexed;  ///< the tree carries a tag index
 };
 
 }  // namespace
@@ -105,16 +106,14 @@ int main() {
   toss::tax::TaxSemantics sem;
   for (const Variant& v : kVariants) {
     PatternTree pattern = v.make();
-    toss::tax::EmbeddingOptions options;
-    options.use_tag_index = v.use_tag_index;
     std::printf("%-28s", v.name);
     for (size_t size : kSizes) {
-      DataTree tree = MakeTree(size);
+      DataTree tree = MakeTree(size, v.indexed);
       double ms = toss::bench::MeasureAdaptiveMs(
           std::string("micro_embedding/") + v.name + "/" +
               std::to_string(size),
           [&] {
-            auto r = toss::tax::FindEmbeddings(pattern, tree, sem, options);
+            auto r = toss::tax::FindEmbeddings(pattern, tree, sem);
             toss::bench::CheckOk(r.status(), "FindEmbeddings");
           });
       std::printf(" %10.3f", ms);

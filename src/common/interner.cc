@@ -4,18 +4,6 @@
 
 namespace toss {
 
-namespace {
-std::atomic<bool> g_symbol_fast_paths{true};
-}  // namespace
-
-void SetSymbolFastPaths(bool enabled) {
-  g_symbol_fast_paths.store(enabled, std::memory_order_relaxed);
-}
-
-bool SymbolFastPathsEnabled() {
-  return g_symbol_fast_paths.load(std::memory_order_relaxed);
-}
-
 Interner& Interner::Global() {
   static Interner* instance = new Interner();  // never destroyed
   return *instance;

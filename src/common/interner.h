@@ -40,13 +40,6 @@ namespace toss {
 using SymbolId = uint32_t;
 inline constexpr SymbolId kInvalidSymbol = 0xFFFFFFFFu;
 
-/// Global kill-switch for every symbol-id comparison fast path (default
-/// on). The equivalence property tests run each operator with the fast
-/// paths off and assert byte-identical answers; not intended for
-/// concurrent flipping.
-void SetSymbolFastPaths(bool enabled);
-bool SymbolFastPathsEnabled();
-
 class Interner {
  public:
   /// The process-wide dictionary.

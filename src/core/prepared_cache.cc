@@ -24,8 +24,7 @@ CacheMetrics& Instruments() {
 
 }  // namespace
 
-std::string CanonicalPatternKey(const tax::PatternTree& pattern,
-                                const std::vector<int>& labels) {
+std::string CanonicalPatternKey(const tax::PatternTree& pattern) {
   std::string key;
   key.reserve(64);
   for (size_t i = 0; i < pattern.node_count(); ++i) {
@@ -37,36 +36,29 @@ std::string CanonicalPatternKey(const tax::PatternTree& pattern,
   }
   key += '|';
   key += pattern.condition().ToString();
-  key += '|';
-  std::vector<int> sorted = labels;
-  std::sort(sorted.begin(), sorted.end());
-  for (int l : sorted) {
-    key += std::to_string(l);
-    key += ',';
-  }
   return key;
 }
 
 PreparedQueryCache::PreparedQueryCache(size_t capacity)
     : capacity_(std::max<size_t>(1, capacity)) {}
 
-bool PreparedQueryCache::Lookup(const std::string& key, PreparedRewrite* out) {
+std::shared_ptr<const PreparedRewrite> PreparedQueryCache::Lookup(
+    const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++misses_;
     Instruments().misses.Increment();
-    return false;
+    return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  *out = it->second.rewrite;
   ++hits_;
   Instruments().hits.Increment();
-  return true;
+  return it->second.rewrite;
 }
 
-void PreparedQueryCache::Insert(const std::string& key,
-                                PreparedRewrite entry) {
+void PreparedQueryCache::Insert(
+    const std::string& key, std::shared_ptr<const PreparedRewrite> entry) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {

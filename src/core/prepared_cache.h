@@ -1,9 +1,9 @@
 // Prepared-query cache: memoizes phase (i) of query execution -- the
 // pattern-tree -> pushdown plan rewrite, whose cost is dominated by SEO term
-// expansion -- keyed by a canonical serialization of the pattern tree plus
-// the label restriction (DESIGN.md §11 "Prepared-query cache").
+// expansion -- keyed by a canonical serialization of the pattern tree
+// (DESIGN.md §11 "Prepared-query cache").
 //
-// The plan of a pattern depends only on (pattern, label filter, SEO), not
+// The plan of a pattern depends only on (pattern, SEO), not
 // on the stored documents, so entries stay valid across writes until the
 // SEO changes; service::TossService calls Clear() when it swaps SEOs. The
 // cache is a bounded, thread-safe LRU:
@@ -14,6 +14,7 @@
 #define TOSS_CORE_PREPARED_CACHE_H_
 
 #include <list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -31,12 +32,10 @@ struct PreparedRewrite {
   size_t expanded_terms = 0;
 };
 
-/// Canonical cache key for (pattern, label restriction): node structure
-/// (label/parent/edge in creation order), the condition's serialization,
-/// and the sorted label filter. Two patterns with equal keys rewrite
-/// identically under any fixed SEO.
-std::string CanonicalPatternKey(const tax::PatternTree& pattern,
-                                const std::vector<int>& labels);
+/// Canonical cache key for a pattern: node structure (label/parent/edge in
+/// creation order) and the condition's serialization. Two patterns with
+/// equal keys rewrite identically under any fixed SEO.
+std::string CanonicalPatternKey(const tax::PatternTree& pattern);
 
 class PreparedQueryCache {
  public:
@@ -45,13 +44,15 @@ class PreparedQueryCache {
   PreparedQueryCache(const PreparedQueryCache&) = delete;
   PreparedQueryCache& operator=(const PreparedQueryCache&) = delete;
 
-  /// Copies the entry for `key` into `*out` and returns true on a hit
-  /// (refreshing the entry's LRU position).
-  bool Lookup(const std::string& key, PreparedRewrite* out);
+  /// The entry for `key` on a hit (refreshing its LRU position), null on a
+  /// miss. Entries are immutable and shared: a hit copies one pointer, and
+  /// the entry outlives its eviction for as long as a caller holds it.
+  std::shared_ptr<const PreparedRewrite> Lookup(const std::string& key);
 
   /// Inserts or refreshes `key`, evicting the least-recently-used entry
   /// beyond capacity.
-  void Insert(const std::string& key, PreparedRewrite entry);
+  void Insert(const std::string& key,
+              std::shared_ptr<const PreparedRewrite> entry);
 
   /// Drops every entry (SEO swap invalidation). Hit/miss counters persist.
   void Clear();
@@ -66,7 +67,7 @@ class PreparedQueryCache {
 
  private:
   struct Node {
-    PreparedRewrite rewrite;
+    std::shared_ptr<const PreparedRewrite> rewrite;
     std::list<std::string>::iterator lru_it;
   };
 

@@ -21,8 +21,10 @@
 //
 // New labels must be introduced in increasing order ($2 before $3, ...),
 // each as the child of an already-declared label. For JOIN, $1 is the
-// product root (tag tax_prod_root); its first declared child subtree binds
-// to the left collection, the second to the right.
+// product root (tag tax_prod_root); its first declared child subtree
+// describes the left collection's side, the second the right's. The join
+// selects over the product, so a node may map into either document of a
+// pair (QueryExecutor::Join).
 //
 // Examples:
 //

@@ -86,7 +86,7 @@ const std::vector<HNodeId>* Seo::LookupSym(
 bool Seo::SimilarSym(SymbolId sx, const std::string& x, SymbolId sy,
                      const std::string& y) const {
   auto index = term_index_;
-  if (index == nullptr || !SymbolFastPathsEnabled()) return Similar(x, y);
+  if (index == nullptr) return Similar(x, y);
   if (sx != kInvalidSymbol && sx == sy) return true;  // equal text
   if (x == y) return true;  // ids may be missing on either side
   auto rel = index->by_relation.find(ontology::kIsa);
@@ -113,9 +113,7 @@ bool Seo::LeqSym(const std::string& relation, SymbolId sx,
                  const std::string& x, SymbolId sy,
                  const std::string& y) const {
   auto index = term_index_;
-  if (index == nullptr || !SymbolFastPathsEnabled()) {
-    return Leq(relation, x, y);
-  }
+  if (index == nullptr) return Leq(relation, x, y);
   auto rel = index->by_relation.find(relation);
   if (rel == index->by_relation.end()) return false;  // no such hierarchy
   const Hierarchy* h = EnhancedHierarchy(relation);

@@ -1,15 +1,13 @@
 #include "tax/condition.h"
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 
 namespace toss::tax {
 
 std::optional<bool> SymbolTextEquality(const TermValue& x,
                                        const TermValue& y) {
-  if (x.symbol == kInvalidSymbol || y.symbol == kInvalidSymbol ||
-      !SymbolFastPathsEnabled()) {
+  if (x.symbol == kInvalidSymbol || y.symbol == kInvalidSymbol) {
     return std::nullopt;
   }
   return x.symbol == y.symbol;
@@ -17,8 +15,7 @@ std::optional<bool> SymbolTextEquality(const TermValue& x,
 
 std::optional<bool> SymbolGlobEquality(const TermValue& x,
                                        const TermValue& y) {
-  if (x.symbol == kInvalidSymbol || y.symbol == kInvalidSymbol ||
-      !SymbolFastPathsEnabled()) {
+  if (x.symbol == kInvalidSymbol || y.symbol == kInvalidSymbol) {
     return std::nullopt;
   }
   if (x.symbol == y.symbol) return true;

@@ -118,13 +118,13 @@ struct TermValue {
 //
 // Equality in TAX/TOSS is string equality plus '*' globbing -- never numeric
 // coercion (tax_semantics.cc CompareValues) -- so interned ids decide most
-// equality atoms without touching the texts. The global switch exists for
-// A/B testing: property tests run every operator with the fast paths off and
-// assert byte-identical answers.
+// equality atoms without touching the texts. A term without an id (a tree
+// built without a tag index, a dictionary overflow) takes the text path; the
+// tests hold both paths to a reference evaluator that never sees an id.
 
 /// Exact text equality decided from ids alone: true/false when both ids are
 /// valid (ids are canonical: equal id <=> equal text), nullopt when either
-/// id is missing or the fast paths are disabled. Sound for ~ under
+/// id is missing. Sound for ~ under
 /// TaxSemantics and for pre-glob screening -- NOT for glob-aware equality
 /// (use SymbolGlobEquality).
 std::optional<bool> SymbolTextEquality(const TermValue& x, const TermValue& y);

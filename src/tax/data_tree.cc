@@ -185,7 +185,6 @@ DataTree DataTree::FromXml(const xml::XmlDocument& doc, xml::NodeId root) {
 void DataTree::BuildTagIndex() {
   if (tag_index_.has_value()) return;
   TagIndexData index;
-  index.depth.resize(nodes_.size());
   index.tag_ids.resize(nodes_.size(), kInvalidSymbol);
   index.content_ids.resize(nodes_.size(), kInvalidSymbol);
   Interner& interner = Interner::Global();
@@ -205,9 +204,6 @@ void DataTree::BuildTagIndex() {
       index.wildcard_nodes.push_back(v);
     }
     if (n.tag_type != kStringType) index.filterable = false;
-    // Parents precede children (AppendChild invariant), so depths fill in
-    // one pass regardless of id ordering.
-    index.depth[v] = (n.parent == kInvalidNode) ? 0 : index.depth[n.parent] + 1;
   }
   if (!symbols_ok) {
     // Without complete ids the id-keyed tag map is partial; disable both
@@ -247,14 +243,6 @@ void DataTree::BuildTagIndex() {
     }
   }
   tag_index_ = std::move(index);
-}
-
-const std::vector<NodeId>* DataTree::NodesWithTag(std::string_view tag) const {
-  assert(tag_index_.has_value());
-  // Non-inserting dictionary probe: a tag the process has never interned
-  // cannot occur in this (indexed, hence interned) tree.
-  auto id = Interner::Global().Find(tag);
-  return id.has_value() ? NodesWithTagId(*id) : nullptr;
 }
 
 const std::vector<NodeId>* DataTree::NodesWithTagId(SymbolId tag) const {

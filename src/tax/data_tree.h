@@ -123,11 +123,8 @@ class DataTree {
     return tag_index_.has_value() && tag_index_->filterable;
   }
 
-  /// Nodes carrying exactly `tag`, ascending NodeId; nullptr when the tag
-  /// is absent. Requires TagFilterable().
-  const std::vector<NodeId>* NodesWithTag(std::string_view tag) const;
-
-  /// Id-keyed variant of NodesWithTag. Requires TagFilterable().
+  /// Nodes carrying exactly the tag interned as `tag`, ascending NodeId;
+  /// nullptr when the tag is absent. Requires TagFilterable().
   const std::vector<NodeId>* NodesWithTagId(SymbolId tag) const;
 
   /// Nodes whose tag contains '*'. Under glob-equality semantics a *data*
@@ -143,14 +140,6 @@ class DataTree {
 
   /// One past the last id of v's subtree (valid iff HasPreorderIds()).
   NodeId SubtreeEnd(NodeId v) const { return tag_index_->subtree_end[v]; }
-
-  /// True when per-node depths were computed (whenever the index is built).
-  bool HasDepths() const {
-    return tag_index_.has_value() && !tag_index_->depth.empty();
-  }
-
-  /// Root distance of v (root = 0). Valid iff HasDepths().
-  uint32_t Depth(NodeId v) const { return tag_index_->depth[v]; }
 
   // --- Interned symbol ids -------------------------------------------------
   //
@@ -177,7 +166,6 @@ class DataTree {
     std::unordered_map<SymbolId, std::vector<NodeId>> by_tag;
     std::vector<NodeId> wildcard_nodes;
     std::vector<NodeId> subtree_end;  ///< empty when ids are not preorder
-    std::vector<uint32_t> depth;      ///< positional label: root distance
     std::vector<SymbolId> tag_ids;      ///< per-node interned tag
     std::vector<SymbolId> content_ids;  ///< per-node interned content
     bool filterable = true;           ///< all tag_types are "string"

@@ -71,9 +71,7 @@ class Enumerator {
         pattern_(plan.pattern()),
         tree_(tree),
         semantics_(semantics),
-        filter_tags_(tree.TagFilterable()),
-        filter_ids_(filter_tags_ && tree.HasSymbolIds() &&
-                    SymbolFastPathsEnabled()) {}
+        filter_tags_(tree.TagFilterable()) {}
 
   /// Partial-match mode: assigns only `subset` (ascending pattern indexes
   /// forming the subtree of subset[0]) and collects image tuples instead of
@@ -101,16 +99,20 @@ class Enumerator {
   }
 
  private:
-  /// Id-space TagAllowed: one array load + binary search over u32s.
-  bool TagAllowedId(NodeId v, const std::vector<SymbolId>& allowed) const {
+  /// A node stays a candidate when its tag is allowed, or contains '*'
+  /// (glob equality lets a data-side wildcard match any literal). One array
+  /// load + binary search over u32s.
+  bool TagAllowed(NodeId v, const std::vector<SymbolId>& allowed) const {
     SymbolId t = tree_.TagId(v);
     return std::binary_search(allowed.begin(), allowed.end(), t) ||
            Interner::Global().HasStar(t);
   }
 
-  /// Id-space SeedFromIndex (same ordering contract).
-  std::vector<NodeId> SeedFromIndexIds(const std::vector<SymbolId>& allowed,
-                                       NodeId lo, NodeId hi) const {
+  /// Index-seeded candidates with ids in [lo, hi), ascending. Per-tag lists
+  /// are disjoint ('*'-free literals never collide with wildcard tags), so
+  /// a concatenate-and-sort merge is exact.
+  std::vector<NodeId> SeedFromIndex(const std::vector<SymbolId>& allowed,
+                                    NodeId lo, NodeId hi) const {
     std::vector<NodeId> out;
     auto take = [&](const std::vector<NodeId>& list) {
       auto begin = std::lower_bound(list.begin(), list.end(), lo);
@@ -119,34 +121,6 @@ class Enumerator {
     };
     for (SymbolId tag : allowed) {
       if (const std::vector<NodeId>* list = tree_.NodesWithTagId(tag)) {
-        take(*list);
-      }
-    }
-    take(tree_.WildcardTagNodes());
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  /// A node stays a candidate when its tag is allowed, or contains '*'
-  /// (glob equality lets a data-side wildcard match any literal).
-  bool TagAllowed(NodeId v, const std::set<std::string>& allowed) const {
-    const std::string& t = tree_.node(v).tag;
-    return allowed.count(t) > 0 || t.find('*') != std::string::npos;
-  }
-
-  /// Index-seeded candidates with ids in [lo, hi), ascending. Per-tag lists
-  /// are disjoint ('*'-free literals never collide with wildcard tags), so
-  /// a concatenate-and-sort merge is exact.
-  std::vector<NodeId> SeedFromIndex(const std::set<std::string>& allowed,
-                                    NodeId lo, NodeId hi) const {
-    std::vector<NodeId> out;
-    auto take = [&](const std::vector<NodeId>& list) {
-      auto begin = std::lower_bound(list.begin(), list.end(), lo);
-      auto end = std::lower_bound(begin, list.end(), hi);
-      out.insert(out.end(), begin, end);
-    };
-    for (const std::string& tag : allowed) {
-      if (const std::vector<NodeId>* list = tree_.NodesWithTag(tag)) {
         take(*list);
       }
     }
@@ -194,19 +168,12 @@ class Enumerator {
     const size_t index = subset_ != nullptr ? (*subset_)[slot] : slot;
     const PatternNode& pnode = pattern_.node(index);
     const EmbeddingPlan::NodePlan& nplan = plan_.node(index);
-    const std::set<std::string>* allowed =
-        filter_tags_ && nplan.tags.has_value() ? &*nplan.tags : nullptr;
-    // Non-null only when `allowed` is non-null and the tree carries ids;
-    // the id path computes the same candidate sets as the string path.
-    const std::vector<SymbolId>* allowed_ids =
-        allowed != nullptr && filter_ids_ ? &nplan.tag_ids : nullptr;
-    auto node_allowed = [&](NodeId v) {
-      return allowed_ids != nullptr ? TagAllowedId(v, *allowed_ids)
-                                    : TagAllowed(v, *allowed);
-    };
+    // Non-null when the node is pinned and the tree's index may prune.
+    const std::vector<SymbolId>* allowed =
+        filter_tags_ && nplan.pinned ? &nplan.tag_ids : nullptr;
+    auto node_allowed = [&](NodeId v) { return TagAllowed(v, *allowed); };
     auto seed = [&](NodeId lo, NodeId hi) {
-      return allowed_ids != nullptr ? SeedFromIndexIds(*allowed_ids, lo, hi)
-                                    : SeedFromIndex(*allowed, lo, hi);
+      return SeedFromIndex(*allowed, lo, hi);
     };
     const bool is_head = subset_ != nullptr ? slot == 0 : pnode.parent < 0;
     // Candidate enumeration order always matches the naive scan (ascending
@@ -266,8 +233,9 @@ class Enumerator {
   const PatternTree& pattern_;
   const DataTree& tree_;
   const ConditionSemantics& semantics_;
-  const bool filter_tags_;  ///< the tree's tag index may prune candidates
-  const bool filter_ids_;   ///< ... in id space
+  /// The tree's tag index may prune candidates. A tag-filterable tree
+  /// always carries symbol ids (DataTree::BuildTagIndex).
+  const bool filter_tags_;
   const std::vector<size_t>* subset_ = nullptr;  ///< partial-match mode
   bool head_must_be_root_ = false;
   Embedding current_;
@@ -363,16 +331,13 @@ std::map<int, std::set<std::string>> CollectConjunctiveTagFilters(
   return out;
 }
 
-Result<EmbeddingPlan> EmbeddingPlan::Build(const PatternTree& pattern,
-                                           const EmbeddingOptions& options) {
+Result<EmbeddingPlan> EmbeddingPlan::Build(const PatternTree& pattern) {
   TOSS_RETURN_NOT_OK(pattern.Validate());
   EmbeddingPlan plan(pattern);
   std::map<int, std::vector<const Condition*>> prefilters =
       CollectConjunctivePrefilters(pattern.condition());
-  std::map<int, std::set<std::string>> tag_filters;
-  if (options.use_tag_index) {
-    tag_filters = CollectConjunctiveTagFilters(pattern.condition());
-  }
+  const std::map<int, std::set<std::string>> tag_filters =
+      CollectConjunctiveTagFilters(pattern.condition());
   Interner& interner = Interner::Global();
   std::set<const Condition*> prefiltered;
   plan.nodes_.resize(pattern.node_count());
@@ -392,7 +357,7 @@ Result<EmbeddingPlan> EmbeddingPlan::Build(const PatternTree& pattern,
       if (auto sym = interner.Find(tag)) node.tag_ids.push_back(*sym);
     }
     std::sort(node.tag_ids.begin(), node.tag_ids.end());
-    node.tags = it->second;
+    node.pinned = true;
   }
   std::vector<const Condition*> conjuncts;
   CollectConjuncts(pattern.condition(), &conjuncts);
@@ -432,14 +397,7 @@ Result<std::vector<std::vector<NodeId>>> FindPartialMatches(
 Result<std::vector<Embedding>> FindEmbeddings(
     const PatternTree& pattern, const DataTree& tree,
     const ConditionSemantics& semantics) {
-  return FindEmbeddings(pattern, tree, semantics, EmbeddingOptions{});
-}
-
-Result<std::vector<Embedding>> FindEmbeddings(
-    const PatternTree& pattern, const DataTree& tree,
-    const ConditionSemantics& semantics, const EmbeddingOptions& options) {
-  TOSS_ASSIGN_OR_RETURN(EmbeddingPlan plan,
-                        EmbeddingPlan::Build(pattern, options));
+  TOSS_ASSIGN_OR_RETURN(EmbeddingPlan plan, EmbeddingPlan::Build(pattern));
   return plan.Run(tree, semantics);
 }
 

@@ -27,7 +27,6 @@
 #define TOSS_TAX_EMBEDDING_H_
 
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -45,15 +44,9 @@ struct Embedding {
   LabelMap mapping;
 };
 
-struct EmbeddingOptions {
-  /// Seed / filter candidates through the tree's tag index when available.
-  /// Disabled only by tests that compare against the naive enumeration.
-  bool use_tag_index = true;
-};
-
 /// A pattern compiled for enumeration: per pattern node, its single-label
-/// prefilter atoms, the tags its conjunctive atoms pin it to, and those
-/// tags lowered to interned ids. Holds pointers into the pattern, which
+/// prefilter atoms and the tags its conjunctive atoms pin it to, lowered
+/// to interned ids. Holds pointers into the pattern, which
 /// must outlive the plan.
 ///
 /// Id lowering probes the process dictionary (Interner::Find) once, when
@@ -66,8 +59,7 @@ struct EmbeddingOptions {
 class EmbeddingPlan {
  public:
   /// Validates `pattern` and compiles it.
-  static Result<EmbeddingPlan> Build(const PatternTree& pattern,
-                                     const EmbeddingOptions& options = {});
+  static Result<EmbeddingPlan> Build(const PatternTree& pattern);
 
   const PatternTree& pattern() const { return *pattern_; }
 
@@ -80,10 +72,10 @@ class EmbeddingPlan {
   /// Per pattern node (by index): what enumeration pushes down.
   struct NodePlan {
     std::vector<const Condition*> prefilters;  ///< single-label atoms
-    /// The tags the node is pinned to; unset when unpinned (or the plan
-    /// was built without tag-index use).
-    std::optional<std::set<std::string>> tags;
-    std::vector<SymbolId> tag_ids;  ///< `tags` interned, ascending
+    /// True when conjunctive atoms pin the node to a set of tags.
+    bool pinned = false;
+    /// The pinned tags the dictionary knows, interned, ascending.
+    std::vector<SymbolId> tag_ids;
   };
   const NodePlan& node(size_t index) const { return nodes_[index]; }
 
@@ -106,10 +98,6 @@ class EmbeddingPlan {
 Result<std::vector<Embedding>> FindEmbeddings(
     const PatternTree& pattern, const DataTree& tree,
     const ConditionSemantics& semantics);
-
-Result<std::vector<Embedding>> FindEmbeddings(
-    const PatternTree& pattern, const DataTree& tree,
-    const ConditionSemantics& semantics, const EmbeddingOptions& options);
 
 /// Builds the witness tree induced by `h`. Data subtrees of nodes
 /// h(l), l in `expand_labels`, are included wholesale (selection's SL
@@ -139,7 +127,7 @@ struct PartialMatchOptions {
 /// prefilter pushdown but WITHOUT the final condition check (the join
 /// engine completes mappings across trees first). Each tuple holds the
 /// images of the subtree's pattern nodes in ascending pattern-index order
-/// (head first). The plan must be built with tag-index use on.
+/// (head first).
 Result<std::vector<std::vector<NodeId>>> FindPartialMatches(
     const EmbeddingPlan& plan, size_t head, const DataTree& tree,
     const ConditionSemantics& semantics, const PartialMatchOptions& options);

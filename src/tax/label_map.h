@@ -32,8 +32,6 @@ class LabelMap {
                : kInvalidNode;
   }
 
-  bool Has(int label) const { return Get(label) != kInvalidNode; }
-
   /// Maps `label` to `node` (kInvalidNode is not a mappable value).
   void Set(int label, NodeId node) {
     assert(label >= 0 && node != kInvalidNode);

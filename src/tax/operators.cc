@@ -82,14 +82,6 @@ Result<TreeCollection> SelectTree(const DataTree& tree,
   return out;
 }
 
-Result<TreeCollection> SelectTree(const DataTree& tree,
-                                  const PatternTree& pattern,
-                                  const std::set<int>& expand,
-                                  const ConditionSemantics& semantics) {
-  TOSS_ASSIGN_OR_RETURN(EmbeddingPlan plan, EmbeddingPlan::Build(pattern));
-  return SelectTree(tree, plan, expand, semantics);
-}
-
 Result<TreeCollection> ProjectTree(const DataTree& tree,
                                    const EmbeddingPlan& plan,
                                    const std::vector<ProjectItem>& pl,
@@ -244,29 +236,6 @@ TreeCollection Product(const TreeCollection& left,
     }
   }
   return out;
-}
-
-Result<TreeCollection> Join(const TreeCollection& left,
-                            const TreeCollection& right,
-                            const PatternTree& pattern,
-                            const std::vector<int>& sl,
-                            const ConditionSemantics& semantics) {
-  // Semantically Select(Product(left, right), ...), but the product is
-  // streamed one pair-tree at a time: materializing |L|*|R| trees up front
-  // dominates memory at realistic sizes.
-  std::set<int> expand(sl.begin(), sl.end());
-  std::vector<const DataTree*> right_ptrs;
-  right_ptrs.reserve(right.size());
-  for (const DataTree& b : right) right_ptrs.push_back(&b);
-  std::vector<TreeCollection> parts;
-  parts.reserve(left.size());
-  for (const DataTree& a : left) {
-    TOSS_ASSIGN_OR_RETURN(
-        TreeCollection part,
-        JoinTreeWithRight(a, right_ptrs, pattern, expand, semantics));
-    parts.push_back(std::move(part));
-  }
-  return MergeDedup(std::move(parts));
 }
 
 Result<TreeCollection> GroupBy(const TreeCollection& input,

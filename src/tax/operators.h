@@ -46,16 +46,10 @@ Result<TreeCollection> Project(const TreeCollection& input,
                                const ConditionSemantics& semantics);
 
 /// Cross product: one tree per input pair, under a fresh kProductRootTag
-/// root with the pair as left/right children.
+/// root with the pair as left/right children. A condition join is Select
+/// over Product (paper Example 6).
 TreeCollection Product(const TreeCollection& left,
                        const TreeCollection& right);
-
-/// Condition join: Select over Product (paper Example 6).
-Result<TreeCollection> Join(const TreeCollection& left,
-                            const TreeCollection& right,
-                            const PatternTree& pattern,
-                            const std::vector<int>& sl,
-                            const ConditionSemantics& semantics);
 
 /// Tag of the root of each group tree produced by GroupBy.
 inline constexpr const char* kGroupRootTag = "tax_group_root";
@@ -98,12 +92,6 @@ TreeCollection Difference(const TreeCollection& left,
 /// deduplicated (MergeDedup collapses duplicates within and across trees).
 Result<TreeCollection> SelectTree(const DataTree& tree,
                                   const EmbeddingPlan& plan,
-                                  const std::set<int>& expand,
-                                  const ConditionSemantics& semantics);
-
-/// SelectTree for a single tree: plans `pattern`, then runs it.
-Result<TreeCollection> SelectTree(const DataTree& tree,
-                                  const PatternTree& pattern,
                                   const std::set<int>& expand,
                                   const ConditionSemantics& semantics);
 

@@ -409,7 +409,7 @@ TwigDoc TwigJoiner::PrunedDoc() const {
   return d;
 }
 
-std::vector<const std::set<std::string>*> TwigJoiner::PruneFilters() const {
+std::vector<std::vector<SymbolId>> TwigJoiner::PruneFilterIds() const {
   // Soundness (see header): the pairwise enumeration must provably perform
   // ZERO condition evaluations on a skipped document's nodes. Subtree heads
   // need a tag pin (no candidates => no deeper assignments on that side);
@@ -418,25 +418,21 @@ std::vector<const std::set<std::string>*> TwigJoiner::PruneFilters() const {
   // prefilter-checked). An SL-expanded root embeds whole documents into
   // witnesses, so no document is ever redundant.
   if (root_in_expand_) return {};
-  std::vector<const std::set<std::string>*> out;
+  std::vector<const std::set<std::string>*> keep;
   for (const Subtree& st : subtrees_) {
     auto it = tag_filters_.find(pattern_->node(st.head).label);
     if (it == tag_filters_.end()) return {};
-    out.push_back(&it->second);
+    keep.push_back(&it->second);
   }
   auto f0 = tag_filters_.find(root_label_);
   if (f0 != tag_filters_.end()) {
-    out.push_back(&f0->second);
+    keep.push_back(&f0->second);
   } else if (prefilters_.count(root_label_) > 0) {
     return {};
   }
-  return out;
-}
-
-std::vector<std::vector<SymbolId>> TwigJoiner::PruneFilterIds() const {
   std::vector<std::vector<SymbolId>> out;
   Interner& interner = Interner::Global();
-  for (const std::set<std::string>* tags : PruneFilters()) {
+  for (const std::set<std::string>* tags : keep) {
     std::vector<SymbolId> ids;
     ids.reserve(tags->size());
     for (const std::string& tag : *tags) {
@@ -614,7 +610,6 @@ std::unique_ptr<TwigValueFilter> TwigJoiner::BuildValueFilter(
   }
 
   std::unique_ptr<TwigValueFilter> f(new TwigValueFilter());
-  f->value_count_ = value_count;
   for (size_t i = 0; i < docs.size(); ++i) {
     if (!sets[i].eligible) continue;
     TwigValueFilter::DocBits db;

@@ -62,9 +62,7 @@ class SimilarOracle {
   /// term whose id is unknown.
   virtual bool SimilarSym(SymbolId sx, const std::string& x, SymbolId sy,
                           const std::string& y) const {
-    if (SymbolFastPathsEnabled() && sx != kInvalidSymbol && sx == sy) {
-      return true;
-    }
+    if (sx != kInvalidSymbol && sx == sy) return true;
     return Similar(x, y);
   }
 
@@ -88,10 +86,7 @@ class ExactSimilarOracle final : public SimilarOracle {
 
   bool SimilarSym(SymbolId sx, const std::string& x, SymbolId sy,
                   const std::string& y) const override {
-    if (SymbolFastPathsEnabled() && sx != kInvalidSymbol &&
-        sy != kInvalidSymbol) {
-      return sx == sy;
-    }
+    if (sx != kInvalidSymbol && sy != kInvalidSymbol) return sx == sy;
     return x == y;
   }
 
@@ -177,9 +172,6 @@ class TwigValueFilter {
   /// (`right` is not the first right document).
   bool CanSkipPair(const TwigDoc& left, const TwigDoc& right) const;
 
-  /// Distinct anchor values indexed across all documents.
-  size_t value_count() const { return value_count_; }
-
  private:
   friend class TwigJoiner;
   using Bits = std::vector<uint64_t>;
@@ -197,7 +189,6 @@ class TwigValueFilter {
 
   TwigValueFilter() = default;
 
-  size_t value_count_ = 0;
   std::vector<DocBits> docs_;  ///< indexed by TwigDoc::value_slot
 };
 
@@ -223,11 +214,9 @@ class TwigJoiner {
   Result<TwigDoc> Prepare(std::shared_ptr<const DataTree> tree,
                           TwigJoinStats* stats) const;
 
-  /// The stand-in for a store-pruned document (see PruneFilters): empty
+  /// The stand-in for a store-pruned document (see PruneFilterIds): empty
   /// postings, no inside embeddings, never decoded.
   TwigDoc PrunedDoc() const;
-
-  size_t subtree_count() const { return subtrees_.size(); }
 
   /// Tag sets certifying store-level document pruning: a document with no
   /// node tagged in any of these sets (and no '*' tag) can host neither a
@@ -235,14 +224,10 @@ class TwigJoiner {
   /// evaluate a condition on its nodes -- so skipping it cannot change the
   /// answer or suppress an error. Empty when pruning is unsound for this
   /// pattern (an unpinned subtree head, a prefiltered unpinned root, or an
-  /// SL-expanded root whose witnesses embed whole documents).
-  std::vector<const std::set<std::string>*> PruneFilters() const;
-
-  /// Id-space PruneFilters: the same keep-sets lowered to sorted SymbolId
-  /// lists for Collection::DocsWithAnyTagIds. Literals the dictionary has
-  /// never seen are dropped -- the store interns every indexed tag, so an
-  /// unknown literal matches no document. Empty when pruning is unsound
-  /// (same rule as PruneFilters).
+  /// SL-expanded root whose witnesses embed whole documents). Each set is
+  /// a sorted SymbolId list for Collection::DocsWithAnyTagIds; literals the
+  /// dictionary has never seen are dropped -- the store interns every
+  /// indexed tag, so an unknown literal matches no document.
   std::vector<std::vector<SymbolId>> PruneFilterIds() const;
 
   /// Builds the cross-document value filter over the join's prepared
@@ -261,10 +246,6 @@ class TwigJoiner {
   /// entirely, exactly as the pairwise enumeration would never map the
   /// root to the product node.
   bool root_tag_allowed() const { return root_tag_allowed_; }
-
-  /// Whether the pattern root's label is SL-expanded: cross-tree witnesses
-  /// are then whole product trees and every pruning rule is disabled.
-  bool root_in_expand() const { return root_in_expand_; }
 
   /// Evaluates the root label's single-label atoms against the synthetic
   /// product root, in pushdown order with short-circuit -- the once-per-join

@@ -1,5 +1,6 @@
-// The parallel evaluation path must return exactly the sequential answers,
-// in the same order, for both TAX and TOSS semantics.
+// The parallel evaluation path must return exactly the naive reference's
+// answers (reference_eval.h), in the same order, for both TAX and TOSS
+// semantics.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "data/bib_generator.h"
 #include "data/workload.h"
 #include "eval/metrics.h"
+#include "reference_eval.h"
 
 namespace toss::core {
 namespace {
@@ -58,6 +60,19 @@ class ParallelExecTest : public ::testing::Test {
     return o;
   }
 
+  /// Runs `check(exec, ref)` with a 4-wide executor and the reference,
+  /// under TAX and then under TOSS.
+  template <typename Check>
+  void ForBothSemantics(Check check) {
+    for (bool use_toss : {false, true}) {
+      const Seo* seo = use_toss ? &seo_ : nullptr;
+      const TypeSystem* types = use_toss ? &types_ : nullptr;
+      QueryExecutor par(&db_, seo, types);
+      par.SetParallelism(4);
+      check(par, reference::Evaluator(&db_, seo, types));
+    }
+  }
+
   data::BibWorld world_;
   store::Database db_;
   Seo seo_;
@@ -65,26 +80,17 @@ class ParallelExecTest : public ::testing::Test {
   std::vector<data::SelectionQuery> queries_;
 };
 
-TEST_F(ParallelExecTest, ParallelSelectMatchesSequentialExactly) {
-  for (bool use_toss : {false, true}) {
-    QueryExecutor seq(&db_, use_toss ? &seo_ : nullptr,
-                      use_toss ? &types_ : nullptr);
-    QueryExecutor par(&db_, use_toss ? &seo_ : nullptr,
-                      use_toss ? &types_ : nullptr);
-    par.SetParallelism(4);
+TEST_F(ParallelExecTest, ParallelSelectMatchesReference) {
+  ForBothSemantics([&](const QueryExecutor& par,
+                       const reference::Evaluator& ref) {
     EXPECT_EQ(par.parallelism(), 4u);
     for (const auto& q : queries_) {
-      auto rs = seq.Select("dblp", q.pattern, q.sl, Width(1));
-      auto rp = par.Select("dblp", q.pattern, q.sl, Width(4));
-      ASSERT_TRUE(rs.ok()) << rs.status();
-      ASSERT_TRUE(rp.ok()) << rp.status();
-      ASSERT_EQ(rs->size(), rp->size()) << q.name;
-      for (size_t i = 0; i < rs->size(); ++i) {
-        EXPECT_TRUE((*rs)[i].Equals((*rp)[i]))
-            << q.name << " tree " << i << " differs";
-      }
+      EXPECT_TRUE(reference::SameAnswer(
+          par.Select("dblp", q.pattern, q.sl, Width(4)),
+          ref.Select("dblp", q.pattern, q.sl)))
+          << q.name;
     }
-  }
+  });
 }
 
 TEST_F(ParallelExecTest, ParallelismOfOneIsSequentialPath) {
@@ -117,35 +123,22 @@ TEST_F(ParallelExecTest, ManyThreadsOnFewDocsFallsBack) {
   ASSERT_TRUE(r.ok());
 }
 
-void ExpectSameTrees(const tax::TreeCollection& a,
-                     const tax::TreeCollection& b, const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(a[i].Equals(b[i])) << what << " tree " << i << " differs";
-  }
-}
-
-TEST_F(ParallelExecTest, ParallelProjectMatchesSequentialExactly) {
-  for (bool use_toss : {false, true}) {
-    QueryExecutor seq(&db_, use_toss ? &seo_ : nullptr,
-                      use_toss ? &types_ : nullptr);
-    QueryExecutor par(&db_, use_toss ? &seo_ : nullptr,
-                      use_toss ? &types_ : nullptr);
-    par.SetParallelism(4);
+TEST_F(ParallelExecTest, ParallelProjectMatchesReference) {
+  ForBothSemantics([&](const QueryExecutor& par,
+                       const reference::Evaluator& ref) {
     for (const auto& q : queries_) {
       std::vector<tax::ProjectItem> pl;
       for (int label : q.sl) pl.push_back({label, false});
       if (pl.empty()) pl.push_back({1, true});
-      auto rs = seq.Project("dblp", q.pattern, pl, Width(1));
-      auto rp = par.Project("dblp", q.pattern, pl, Width(4));
-      ASSERT_TRUE(rs.ok()) << rs.status();
-      ASSERT_TRUE(rp.ok()) << rp.status();
-      ExpectSameTrees(*rs, *rp, q.name.c_str());
+      EXPECT_TRUE(reference::SameAnswer(
+          par.Project("dblp", q.pattern, pl, Width(4)),
+          ref.Project("dblp", q.pattern, pl)))
+          << q.name;
     }
-  }
+  });
 }
 
-TEST_F(ParallelExecTest, ParallelGroupByMatchesSequentialExactly) {
+TEST_F(ParallelExecTest, ParallelGroupByMatchesReference) {
   // Group papers by publication year; groups must come back in the same
   // first-occurrence order with identical members.
   tax::PatternTree pt;
@@ -154,22 +147,16 @@ TEST_F(ParallelExecTest, ParallelGroupByMatchesSequentialExactly) {
   pt.SetCondition(tax::ParseCondition(
                       "$1.tag = \"inproceedings\" & $2.tag = \"year\"")
                       .value());
-  for (bool use_toss : {false, true}) {
-    QueryExecutor seq(&db_, use_toss ? &seo_ : nullptr,
-                      use_toss ? &types_ : nullptr);
-    QueryExecutor par(&db_, use_toss ? &seo_ : nullptr,
-                      use_toss ? &types_ : nullptr);
-    par.SetParallelism(4);
-    auto rs = seq.GroupBy("dblp", pt, 2, {1}, Width(1));
-    auto rp = par.GroupBy("dblp", pt, 2, {1}, Width(4));
-    ASSERT_TRUE(rs.ok()) << rs.status();
-    ASSERT_TRUE(rp.ok()) << rp.status();
-    EXPECT_GT(rs->size(), 1u) << "fixture should span several years";
-    ExpectSameTrees(*rs, *rp, "group-by-year");
-  }
+  ForBothSemantics([&](const QueryExecutor& par,
+                       const reference::Evaluator& ref) {
+    auto got = par.GroupBy("dblp", pt, 2, {1}, Width(4));
+    EXPECT_TRUE(reference::SameAnswer(got, ref.GroupBy("dblp", pt, 2, {1})));
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_GT(got->size(), 1u) << "fixture should span several years";
+  });
 }
 
-TEST_F(ParallelExecTest, ParallelJoinMatchesSequentialExactly) {
+TEST_F(ParallelExecTest, ParallelJoinMatchesReference) {
   // Self-join a small slice on equal publication year: enough pairs to
   // exercise the pool on both sides without a quadratic blowup.
   data::BibConfig cfg;
@@ -191,19 +178,14 @@ TEST_F(ParallelExecTest, ParallelJoinMatchesSequentialExactly) {
                           "$4.tag = \"inproceedings\" & $5.tag = \"year\" & "
                           "$3.content = $5.content")
           .value());
-  for (bool use_toss : {false, true}) {
-    QueryExecutor seq(&db_, use_toss ? &seo_ : nullptr,
-                      use_toss ? &types_ : nullptr);
-    QueryExecutor par(&db_, use_toss ? &seo_ : nullptr,
-                      use_toss ? &types_ : nullptr);
-    par.SetParallelism(4);
-    auto rs = seq.Join("mini", "mini", pt, {2, 4}, Width(1));
-    auto rp = par.Join("mini", "mini", pt, {2, 4}, Width(4));
-    ASSERT_TRUE(rs.ok()) << rs.status();
-    ASSERT_TRUE(rp.ok()) << rp.status();
-    EXPECT_GT(rs->size(), 0u) << "same-year pairs must exist";
-    ExpectSameTrees(*rs, *rp, "join-on-year");
-  }
+  ForBothSemantics([&](const QueryExecutor& par,
+                       const reference::Evaluator& ref) {
+    auto got = par.Join("mini", "mini", pt, {2, 4}, Width(4));
+    EXPECT_TRUE(
+        reference::SameAnswer(got, ref.Join("mini", "mini", pt, {2, 4})));
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_GT(got->size(), 0u) << "same-year pairs must exist";
+  });
 }
 
 TEST_F(ParallelExecTest, WorkerErrorAbortsPoolAndMatchesSequentialError) {

@@ -11,7 +11,6 @@
 #include "ontology/sea.h"
 #include "sim/measure_registry.h"
 #include "tax/condition_parser.h"
-#include "tax/embedding.h"
 #include "tax/operators.h"
 #include "tax/tax_semantics.h"
 #include "xml/xml_parser.h"
@@ -307,115 +306,6 @@ TEST(PropertyTest, SelectWithTrueConditionFindsEveryNodeOnce) {
     }
     EXPECT_TRUE(found);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Tag-indexed embedding enumeration vs naive scan
-// ---------------------------------------------------------------------------
-
-// Like RandomTree but drawing tags from a pool that includes '*'-bearing
-// tags: under glob equality a *data* tag can act as the pattern side of
-// `$n.tag = "lit"`, so index pruning must keep wildcard nodes candidates.
-tax::DataTree RandomTaggedTree(Random* rng, size_t max_nodes) {
-  tax::DataTree t;
-  const char* tags[] = {"a", "b", "c", "item", "a*", "*"};
-  auto tag = [&] { return tags[rng->Uniform(std::size(tags))]; };
-  auto content = [&] { return rng->AlphaString(1 + rng->Uniform(3)); };
-  t.CreateRoot(tag(), content());
-  size_t n = 1 + rng->Uniform(max_nodes);
-  for (size_t i = 1; i < n; ++i) {
-    tax::NodeId parent = static_cast<tax::NodeId>(rng->Uniform(t.size()));
-    t.AppendChild(parent, tag(), content());
-  }
-  return t;
-}
-
-// A random 1-3 node pattern whose per-label conjuncts mix pinned tags,
-// SEO-shaped tag disjunctions, content atoms, and unconstrained labels.
-tax::PatternTree RandomTagPattern(Random* rng, int* num_labels) {
-  tax::PatternTree p;
-  std::vector<int> labels{p.AddRoot()};
-  size_t extra = rng->Uniform(3);
-  for (size_t i = 0; i < extra; ++i) {
-    int parent = labels[rng->Uniform(labels.size())];
-    labels.push_back(p.AddChild(parent, rng->Bernoulli(0.5)
-                                            ? tax::EdgeKind::kPc
-                                            : tax::EdgeKind::kAd));
-  }
-  const char* pool[] = {"a", "b", "c", "item", "a*", "zzz"};
-  auto tag_atom = [&](int label) {
-    return tax::Condition::Atom(tax::TagOf(label), tax::CondOp::kEq,
-                                tax::Value(pool[rng->Uniform(
-                                    std::size(pool))]));
-  };
-  std::vector<tax::Condition> atoms;
-  for (int label : labels) {
-    switch (rng->Uniform(4)) {
-      case 0:
-        atoms.push_back(tag_atom(label));
-        break;
-      case 1:
-        atoms.push_back(
-            tax::Condition::Or({tag_atom(label), tag_atom(label)}));
-        break;
-      case 2:  // non-tag atom: no index leverage for this label
-        atoms.push_back(tax::Condition::Atom(
-            tax::ContentOf(label), tax::CondOp::kNeq, tax::Value("qqq")));
-        break;
-      default:  // unconstrained
-        break;
-    }
-  }
-  if (atoms.empty()) {
-    p.SetCondition(tax::Condition::True());
-  } else if (atoms.size() == 1) {
-    p.SetCondition(std::move(atoms[0]));
-  } else {
-    p.SetCondition(tax::Condition::And(std::move(atoms)));
-  }
-  *num_labels = static_cast<int>(labels.size());
-  return p;
-}
-
-TEST(PropertyTest, TagIndexedEmbeddingsMatchNaiveEnumeration) {
-  Random rng(1013);
-  tax::TaxSemantics sem;
-  tax::EmbeddingOptions naive;
-  naive.use_tag_index = false;
-  size_t nonempty = 0;
-  for (int trial = 0; trial < 150; ++trial) {
-    tax::DataTree t = RandomTaggedTree(&rng, 14);
-    if (rng.Bernoulli(0.5)) {
-      // Rebuild via FromXml: ids become preorder, enabling the
-      // subtree-interval fast path for ad edges.
-      xml::XmlDocument doc = t.ToXml();
-      t = tax::DataTree::FromXml(doc, doc.root());
-    } else {
-      t.BuildTagIndex();  // random parent order: Descendants() ad path
-    }
-    ASSERT_TRUE(t.TagFilterable());
-    int num_labels = 0;
-    tax::PatternTree p = RandomTagPattern(&rng, &num_labels);
-    auto indexed = tax::FindEmbeddings(p, t, sem);
-    auto plain = tax::FindEmbeddings(p, t, sem, naive);
-    ASSERT_TRUE(indexed.ok()) << indexed.status();
-    ASSERT_TRUE(plain.ok()) << plain.status();
-    ASSERT_EQ(indexed->size(), plain->size()) << p.condition().ToString();
-    for (size_t i = 0; i < indexed->size(); ++i) {
-      for (int label = 1; label <= num_labels; ++label) {
-        ASSERT_EQ((*indexed)[i].mapping.Get(label),
-                  (*plain)[i].mapping.Get(label))
-            << p.condition().ToString() << " embedding " << i << " label "
-            << label;
-      }
-      tax::DataTree wi = tax::BuildWitnessTree(p, t, (*indexed)[i], {1});
-      tax::DataTree wp = tax::BuildWitnessTree(p, t, (*plain)[i], {1});
-      EXPECT_TRUE(wi.Equals(wp)) << "witness " << i << " differs";
-    }
-    if (!indexed->empty()) ++nonempty;
-  }
-  // The equivalence must be exercised nontrivially.
-  EXPECT_GT(nonempty, 20u);
 }
 
 // ---------------------------------------------------------------------------

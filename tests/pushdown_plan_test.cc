@@ -1,6 +1,6 @@
-// Phase (ii) against a naive reference: Select over the pushdown plan must
-// return byte-identical answers to tax::SelectTree run over every live
-// document, for random patterns covering every pushdown atom kind, under
+// Phase (ii) against the naive reference (reference_eval.h): Select over
+// the pushdown plan must return byte-identical answers to tax::Select
+// over every live document, for random patterns of every atom kind, under
 // the TAX baseline and under TOSS, over a collection with removed and
 // replaced documents. Plus the store-level costs of a plan.
 
@@ -9,6 +9,7 @@
 #include <random>
 
 #include "core/toss.h"
+#include "reference_eval.h"
 
 namespace toss::core {
 namespace {
@@ -164,12 +165,6 @@ PatternTree RandomPattern(std::mt19937& rng, bool toss) {
   return pt;
 }
 
-std::vector<std::string> Render(const tax::TreeCollection& trees) {
-  std::vector<std::string> out;
-  for (const auto& t : trees) out.push_back(xml::Write(t.ToXml()));
-  return out;
-}
-
 class PushdownReferenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -208,31 +203,17 @@ class PushdownReferenceTest : public ::testing::Test {
     types_ = MakeBibliographicTypeSystem();
   }
 
-  /// tax::SelectTree over every live document, merged like Select merges.
-  std::vector<std::string> Reference(const QueryExecutor& exec,
-                                     const PatternTree& pattern) {
-    std::vector<tax::TreeCollection> parts;
-    for (store::DocId id : coll_->AllDocs()) {
-      auto part = tax::SelectTree(*coll_->DecodedTree(id), pattern, {1},
-                                  exec.semantics());
-      EXPECT_TRUE(part.ok()) << part.status();
-      if (part.ok()) parts.push_back(std::move(part).value());
-    }
-    return Render(tax::MergeDedup(std::move(parts)));
-  }
-
   /// Select over the plan equals the reference; returns the answer size.
   size_t ExpectMatchesReference(const QueryExecutor& exec,
                                 const PatternTree& pattern,
                                 ExecStats* stats) {
+    reference::Evaluator ref(&db_, exec.is_toss() ? &seo_ : nullptr,
+                             exec.is_toss() ? &types_ : nullptr);
     auto got = exec.Select("papers", pattern, {1}, kOpts, stats);
     EXPECT_TRUE(got.ok()) << got.status();
-    if (!got.ok()) return 0;
-    const std::vector<std::string> want = Reference(exec, pattern);
-    EXPECT_TRUE(Render(*got) == want)
-        << pattern.condition().ToString() << "\n"
-        << got->size() << " trees, the reference has " << want.size();
-    return want.size();
+    EXPECT_TRUE(reference::SameAnswer(got, ref.Select("papers", pattern, {1})))
+        << pattern.condition().ToString();
+    return got.ok() ? got->size() : 0;
   }
 
   void CheckRandomPatterns(const QueryExecutor& exec, uint32_t seed) {

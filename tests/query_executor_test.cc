@@ -5,6 +5,7 @@
 #include "core/toss.h"
 
 #include "eval/metrics.h"
+#include "reference_eval.h"
 #include "xml/xml_writer.h"
 
 namespace toss::core {
@@ -161,7 +162,7 @@ TEST_F(QueryExecutorTest, ProjectReturnsMatchedSubtrees) {
 TEST_F(QueryExecutorTest, RewritePushesDownExpandedTerms) {
   QueryExecutor toss_exec(&db_, &seo_, &types_);
   size_t expanded = 0;
-  auto plan = toss_exec.RewriteToPlan(UllmanAtSigmod(), {}, &expanded);
+  auto plan = toss_exec.RewriteToPlan(UllmanAtSigmod(), &expanded);
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_EQ(plan->size(), 3u);  // one step per tagged label
   EXPECT_GT(expanded, 2u);
@@ -442,41 +443,25 @@ TEST_F(QueryExecutorTest, TracedJoinMatchesPlainExecute) {
                                       "decode_right", "eval"}));
 }
 
-TEST_F(QueryExecutorTest, OperatorsInvariantUnderSymbolFastPaths) {
-  // Select / Project / GroupBy answers must be byte-identical with the
-  // interner's id comparison fast paths disabled: ids accelerate term
+TEST_F(QueryExecutorTest, OperatorsMatchReference) {
+  // Select / Project / GroupBy answers must be byte-identical to the naive
+  // reference's, which sees no index and no symbol id: ids accelerate term
   // equality and ~, they never change it. Covers TAX (exact ~) and TOSS
   // (ontology + measure ~) semantics.
-  QueryExecutor tax_exec(&db_, nullptr, nullptr);
-  QueryExecutor toss_exec(&db_, &seo_, &types_);
-  struct Run {
-    std::vector<std::string> select, project, group;
-  };
-  auto run_all = [&](const QueryExecutor& exec) {
-    Run out;
-    auto s = exec.Select("dblp", UllmanAtSigmod(), {1}, kOpts);
-    EXPECT_TRUE(s.ok()) << s.status();
-    if (s.ok()) out.select = Serialize(*s);
-    auto p = exec.Project("dblp", UllmanAtSigmod(), {{2, false}}, kOpts);
-    EXPECT_TRUE(p.ok()) << p.status();
-    if (p.ok()) out.project = Serialize(*p);
-    auto g = exec.GroupBy("dblp", UllmanAtSigmod(), 3, {1}, kOpts);
-    EXPECT_TRUE(g.ok()) << g.status();
-    if (g.ok()) out.group = Serialize(*g);
-    return out;
-  };
-  for (QueryExecutor* exec : {&tax_exec, &toss_exec}) {
-    SetSymbolFastPaths(true);
-    Run fast = run_all(*exec);
-    SetSymbolFastPaths(false);
-    Run slow = run_all(*exec);
-    SetSymbolFastPaths(true);
-    EXPECT_EQ(fast.select, slow.select);
-    EXPECT_EQ(fast.project, slow.project);
-    EXPECT_EQ(fast.group, slow.group);
-    EXPECT_FALSE(fast.select.empty());
-    EXPECT_FALSE(fast.project.empty());
-    EXPECT_FALSE(fast.group.empty());
+  const tax::PatternTree pt = UllmanAtSigmod();
+  for (bool toss : {false, true}) {
+    const Seo* seo = toss ? &seo_ : nullptr;
+    const TypeSystem* types = toss ? &types_ : nullptr;
+    QueryExecutor exec(&db_, seo, types);
+    reference::Evaluator ref(&db_, seo, types);
+    auto s = exec.Select("dblp", pt, {1}, kOpts);
+    auto p = exec.Project("dblp", pt, {{2, false}}, kOpts);
+    auto g = exec.GroupBy("dblp", pt, 3, {1}, kOpts);
+    EXPECT_TRUE(reference::SameAnswer(s, ref.Select("dblp", pt, {1})));
+    EXPECT_TRUE(reference::SameAnswer(p, ref.Project("dblp", pt, {{2, false}})));
+    EXPECT_TRUE(reference::SameAnswer(g, ref.GroupBy("dblp", pt, 3, {1})));
+    ASSERT_TRUE(s.ok() && p.ok() && g.ok());
+    EXPECT_FALSE(s->empty() || p->empty() || g->empty());
   }
 }
 

@@ -148,7 +148,7 @@ TEST(JoinTest, ProductPlusSelection) {
                      "$4.tag = \"article\" & $5.tag = \"title\" & "
                      "$3.content ~ $5.content")
           .value());
-  auto joined = Join(left, right, pt, {2, 4}, sem);
+  auto joined = Select(Product(left, right), pt, {2, 4}, sem);
   ASSERT_TRUE(joined.ok()) << joined.status();
   ASSERT_EQ(joined->size(), 1u);
   // The joined tree holds both full operands under the product root.
