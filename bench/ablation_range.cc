@@ -1,6 +1,6 @@
 // Ablation: range-predicate pushdown. Year-range selections
 // ($n.content >= lo & $n.content <= hi) either scan every document or,
-// with the B+-tree numeric index, touch only documents inside the range.
+// with the ordered numeric index, touch only documents inside the range.
 // Sweeps range selectivity to show when the index matters.
 
 #include <cstdio>

@@ -96,7 +96,7 @@ int main() {
         "SELECT $1 FROM dblp MATCH $1/$2 WHERE "
         "$1.tag = \"inproceedings\" & $2.tag = \"booktitle\" & "
         "$2.content isa \"database conference\"",
-        &stats);
+        {}, &stats);
     if (!result.ok()) return Fail(result.status());
     std::printf("query: %zu database-conference papers in %.2f ms "
                 "(no fusion or SEA at query time)\n",

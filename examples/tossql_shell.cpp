@@ -32,7 +32,7 @@ int Fail(const Status& s) {
 void Execute(const core::QueryExecutor& exec, const char* label,
              const std::string& text) {
   core::ExecStats stats;
-  auto result = core::RunQuery(exec, text, &stats);
+  auto result = core::RunQuery(exec, text, {}, &stats);
   if (!result.ok()) {
     std::printf("%s: %s\n", label, result.status().ToString().c_str());
     return;
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
       "explain SELECT $1 FROM dblp MATCH $1/$2 WHERE "
       "$1.tag = \"inproceedings\" & $2.tag = \"author\" & "
       "$2.content ~ \"" + author + "\"");
-  // Range predicates push down to the store's B+-tree numeric index, and
+  // Range predicates push down to the store's ordered numeric index, and
   // parenthesized queries chain with UNION / INTERSECT / EXCEPT.
   run_both(
       "(SELECT $1 FROM dblp MATCH $1/$2 WHERE "

@@ -74,7 +74,7 @@ class WorkerPool {
 /// Process-wide pool for offline/build-path loops (SEA's pairwise distance
 /// scan, bulk loading), lazily created at hardware concurrency and never
 /// destroyed (its threads park between jobs). Query execution keeps its own
-/// pool (QueryExecutor::SetParallelism); this one is for everything that
+/// pool (QueryOptions::parallelism); this one is for everything that
 /// runs before queries do. Submit work through SharedParallelFor, which
 /// serializes concurrent callers -- ParallelFor itself is single-job.
 WorkerPool& SharedWorkerPool();

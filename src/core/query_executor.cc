@@ -410,21 +410,13 @@ store::PlanStep::Order ToOrder(CondOp op) {
 }  // namespace
 
 QueryExecutor::QueryExecutor(const store::Database* db, const Seo* seo,
-                             const TypeSystem* types,
-                             size_t default_parallelism)
+                             const TypeSystem* types)
     : db_(db), seo_(seo), types_(types), seo_semantics_(seo, types) {
-  parallelism_.store(std::max<size_t>(1, default_parallelism),
-                     std::memory_order_relaxed);
   // Freeze the shared read-only state up front: reachability closures are
   // built lazily on first use, so warming here means concurrent queries
   // only ever read them.
   if (seo_ != nullptr) seo_->WarmCaches();
   if (types_ != nullptr) types_->WarmCaches();
-}
-
-void QueryExecutor::SetParallelism(size_t threads) {
-  parallelism_.store(std::max<size_t>(1, threads),
-                     std::memory_order_relaxed);
 }
 
 Status QueryExecutor::RunPerDoc(size_t n,

@@ -38,7 +38,6 @@
 #ifndef TOSS_CORE_QUERY_EXECUTOR_H_
 #define TOSS_CORE_QUERY_EXECUTOR_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -104,20 +103,8 @@ class QueryExecutor {
   /// Construction freezes the shared read-only state: the SEO and
   /// type-system reachability caches are warmed here, so queries -- from
   /// any number of threads -- only ever read them.
-  ///
-  /// `default_parallelism` seeds `parallelism()`, the width callers that
-  /// have no per-request setting (e.g. the text query language) put into
-  /// their QueryOptions; QueryOptions::parallelism is always what executes.
   QueryExecutor(const store::Database* db, const Seo* seo,
-                const TypeSystem* types, size_t default_parallelism = 1);
-
-  /// Updates the default width reported by parallelism(). The setter is
-  /// atomic and safe to call concurrently; queries already in flight keep
-  /// the width they started with.
-  void SetParallelism(size_t threads);
-  size_t parallelism() const {
-    return parallelism_.load(std::memory_order_relaxed);
-  }
+                const TypeSystem* types);
 
   // --- The per-request entry points ----------------------------------------
   //
@@ -227,7 +214,6 @@ class QueryExecutor {
   const store::Database* db_;
   const Seo* seo_;
   const TypeSystem* types_;
-  std::atomic<size_t> parallelism_{1};
   tax::TaxSemantics tax_semantics_;
   SeoSemantics seo_semantics_;
   // The shared pool. pool_mu_ doubles as the fan-out claim: RunPerDoc

@@ -263,11 +263,8 @@ Result<ParsedQuery> ParseQuery(std::string_view text) {
 
 Result<tax::TreeCollection> ExecuteQuery(const QueryExecutor& executor,
                                          const ParsedQuery& query,
+                                         const QueryOptions& options,
                                          ExecStats* stats) {
-  // The text language carries no per-request knobs, so the executor's
-  // default parallelism is the one setting that applies.
-  QueryOptions options;
-  options.parallelism = executor.parallelism();
   switch (query.kind) {
     case ParsedQuery::Kind::kSelect:
       return executor.Select(query.collection, query.pattern, query.sl,
@@ -381,17 +378,17 @@ Result<CompoundQuery> ParseCompoundQuery(std::string_view text) {
 
 Result<tax::TreeCollection> ExecuteCompoundQuery(
     const QueryExecutor& executor, const CompoundQuery& compound,
-    ExecStats* stats) {
+    const QueryOptions& options, ExecStats* stats) {
   if (compound.queries.empty()) {
     return Status::InvalidArgument("empty compound query");
   }
   TOSS_ASSIGN_OR_RETURN(
       tax::TreeCollection acc,
-      ExecuteQuery(executor, compound.queries[0], stats));
+      ExecuteQuery(executor, compound.queries[0], options, stats));
   for (size_t i = 0; i < compound.ops.size(); ++i) {
     TOSS_ASSIGN_OR_RETURN(
         tax::TreeCollection next,
-        ExecuteQuery(executor, compound.queries[i + 1], stats));
+        ExecuteQuery(executor, compound.queries[i + 1], options, stats));
     switch (compound.ops[i]) {
       case CompoundQuery::SetOp::kUnion:
         acc = tax::Union(acc, next);
@@ -409,9 +406,10 @@ Result<tax::TreeCollection> ExecuteCompoundQuery(
 
 Result<tax::TreeCollection> RunQuery(const QueryExecutor& executor,
                                      std::string_view text,
+                                     const QueryOptions& options,
                                      ExecStats* stats) {
   TOSS_ASSIGN_OR_RETURN(CompoundQuery compound, ParseCompoundQuery(text));
-  return ExecuteCompoundQuery(executor, compound, stats);
+  return ExecuteCompoundQuery(executor, compound, options, stats);
 }
 
 }  // namespace toss::core

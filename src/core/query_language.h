@@ -83,16 +83,18 @@ Result<CompoundQuery> ParseCompoundQuery(std::string_view text);
 /// equality, paper Section 5.1.2).
 Result<tax::TreeCollection> ExecuteCompoundQuery(
     const QueryExecutor& executor, const CompoundQuery& compound,
-    ExecStats* stats = nullptr);
+    const QueryOptions& options = {}, ExecStats* stats = nullptr);
 
 /// Executes a parsed statement through `executor`.
 Result<tax::TreeCollection> ExecuteQuery(const QueryExecutor& executor,
                                          const ParsedQuery& query,
+                                         const QueryOptions& options = {},
                                          ExecStats* stats = nullptr);
 
 /// Convenience: parse + execute.
 Result<tax::TreeCollection> RunQuery(const QueryExecutor& executor,
                                      std::string_view text,
+                                     const QueryOptions& options = {},
                                      ExecStats* stats = nullptr);
 
 }  // namespace toss::core

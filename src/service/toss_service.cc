@@ -126,8 +126,7 @@ TossService::TossService(const store::Database* db, const core::Seo* seo,
       options_(options),
       admission_(options.max_inflight, options.max_queue),
       prepared_(options.prepared_cache_capacity),
-      executor_(std::make_unique<core::QueryExecutor>(
-          db, seo, types, options.default_parallelism)) {}
+      executor_(std::make_unique<core::QueryExecutor>(db, seo, types)) {}
 
 TossService::TossService(store::Database* db, const core::Seo* seo,
                          const core::TypeSystem* types, ServiceOptions options)
@@ -359,8 +358,7 @@ Status TossService::SwapSeo(const core::Seo* seo) {
   std::unique_lock<std::mutex> gate(write_gate_);
   std::unique_lock<std::shared_mutex> exec_lock(exec_mu_);
   gate.unlock();
-  executor_ = std::make_unique<core::QueryExecutor>(
-      db_, seo, types_, options_.default_parallelism);
+  executor_ = std::make_unique<core::QueryExecutor>(db_, seo, types_);
   prepared_.Clear();
   Instruments().seo_swaps.Increment();
   return Status::OK();

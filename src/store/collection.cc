@@ -12,9 +12,8 @@ namespace toss::store {
 
 namespace {
 
-/// Process-wide mirrors of the per-collection cache/query counters. Unlike
-/// the per-Collection stats, these are cumulative across Database::Reload
-/// (which rebuilds the collections, and with them the local counters).
+/// Process-wide mirrors of the per-collection decoded-tree counters, plus
+/// the query counters.
 struct StoreMetrics {
   obs::Counter& cache_hits =
       obs::Metrics().GetCounter("store.tree_cache.hits");
@@ -100,52 +99,6 @@ bool StepMatches(const xml::XmlDocument& doc, const PlanStep& step) {
   return false;
 }
 
-// Moves transfer the counters and zero the source: a moved-from collection
-// no longer backs the cache whose activity they measured, so letting it keep
-// reporting the old numbers is the stale-stats gap the registry mirror
-// closes for good.
-Collection::Collection(Collection&& other) noexcept
-    : name_(std::move(other.name_)),
-      docs_(std::move(other.docs_)),
-      by_key_(std::move(other.by_key_)),
-      tag_index_(std::move(other.tag_index_)),
-      unindexed_tag_docs_(std::move(other.unindexed_tag_docs_)),
-      irregular_docs_(std::move(other.irregular_docs_)),
-      wildcard_tag_docs_(std::move(other.wildcard_tag_docs_)),
-      term_index_(std::move(other.term_index_)),
-      value_index_(std::move(other.value_index_)),
-      numeric_index_(std::move(other.numeric_index_)),
-      tree_lru_(std::move(other.tree_lru_)),
-      tree_cache_(std::move(other.tree_cache_)),
-      tree_cache_hits_(other.tree_cache_hits_),
-      tree_cache_misses_(other.tree_cache_misses_),
-      tree_cache_capacity_(other.tree_cache_capacity_) {
-  other.tree_cache_hits_ = 0;
-  other.tree_cache_misses_ = 0;
-}
-
-Collection& Collection::operator=(Collection&& other) noexcept {
-  if (this == &other) return *this;
-  name_ = std::move(other.name_);
-  docs_ = std::move(other.docs_);
-  by_key_ = std::move(other.by_key_);
-  tag_index_ = std::move(other.tag_index_);
-  unindexed_tag_docs_ = std::move(other.unindexed_tag_docs_);
-  irregular_docs_ = std::move(other.irregular_docs_);
-  wildcard_tag_docs_ = std::move(other.wildcard_tag_docs_);
-  term_index_ = std::move(other.term_index_);
-  value_index_ = std::move(other.value_index_);
-  numeric_index_ = std::move(other.numeric_index_);
-  tree_lru_ = std::move(other.tree_lru_);
-  tree_cache_ = std::move(other.tree_cache_);
-  tree_cache_hits_ = other.tree_cache_hits_;
-  tree_cache_misses_ = other.tree_cache_misses_;
-  tree_cache_capacity_ = other.tree_cache_capacity_;
-  other.tree_cache_hits_ = 0;
-  other.tree_cache_misses_ = 0;
-  return *this;
-}
-
 Result<DocId> Collection::Insert(std::string key, xml::XmlDocument doc) {
   if (doc.empty()) {
     return Status::InvalidArgument("Insert: empty document");
@@ -155,11 +108,8 @@ Result<DocId> Collection::Insert(std::string key, xml::XmlDocument doc) {
                                  "' already present in collection '" +
                                  name_ + "'");
   }
-  DocId id = static_cast<DocId>(docs_.size());
-  docs_.push_back({key, std::move(doc), true});
-  docs_[id].serialized_bytes = xml::Write(docs_[id].doc).size();
+  DocId id = Append(key, std::move(doc));
   by_key_[std::move(key)] = id;
-  UpdatePostings(id, /*add=*/true);
   return id;
 }
 
@@ -173,10 +123,7 @@ Status Collection::Remove(const std::string& key) {
   if (it == by_key_.end()) {
     return Status::NotFound("no document with key '" + key + "'");
   }
-  DocId id = it->second;
-  UpdatePostings(id, /*add=*/false);
-  docs_[id].live = false;
-  InvalidateCachedTree(id);
+  Retire(it->second);
   by_key_.erase(it);
   return Status::OK();
 }
@@ -190,16 +137,9 @@ Result<DocId> Collection::Replace(const std::string& key,
   if (it == by_key_.end()) {
     return Status::NotFound("no document with key '" + key + "'");
   }
-  DocId old = it->second;
-  UpdatePostings(old, /*add=*/false);
-  docs_[old].live = false;
-  InvalidateCachedTree(old);
-  DocId id = static_cast<DocId>(docs_.size());
-  docs_.push_back({key, std::move(doc), true});
-  docs_[id].serialized_bytes = xml::Write(docs_[id].doc).size();
-  it->second = id;
-  UpdatePostings(id, /*add=*/true);
-  return id;
+  Retire(it->second);
+  it->second = Append(key, std::move(doc));
+  return it->second;
 }
 
 Result<DocId> Collection::FindKey(const std::string& key) const {
@@ -216,6 +156,24 @@ std::vector<DocId> Collection::AllDocs() const {
     if (docs_[id].live) out.push_back(id);
   }
   return out;
+}
+
+DocId Collection::Append(std::string key, xml::XmlDocument doc) {
+  DocId id = static_cast<DocId>(docs_.size());
+  docs_.push_back({std::move(key), std::move(doc)});
+  docs_[id].serialized_bytes = xml::Write(docs_[id].doc).size();
+  UpdatePostings(id, /*add=*/true);
+  return id;
+}
+
+void Collection::Retire(DocId id) {
+  UpdatePostings(id, /*add=*/false);
+  docs_[id].live = false;
+  std::lock_guard<std::mutex> lock(tree_mu_);
+  if (docs_[id].tree != nullptr) {
+    docs_[id].tree.reset();
+    --tree_stats_.entries;
+  }
 }
 
 void Collection::UpdatePostings(DocId id, bool add) {
@@ -276,17 +234,8 @@ void Collection::UpdatePostings(DocId id, bool add) {
       update(irregular_docs_, *tag_sym);
     }
     if (!content.empty() && content.size() <= kMaxIndexedValue) {
-      // The B+-trees keep one posting per (key, document), so a key two
-      // elements share is inserted once and its second removal is a no-op.
-      const std::string vkey = ValueKey(n.tag, content);
-      const std::optional<std::string> nkey = NumericKey(n.tag, content);
-      if (add) {
-        value_index_.Insert(vkey, id);
-        if (nkey.has_value()) numeric_index_.Insert(*nkey, id);
-      } else {
-        (void)value_index_.Remove(vkey, id);
-        if (nkey.has_value()) (void)numeric_index_.Remove(*nkey, id);
-      }
+      update(value_index_, ValueKey(n.tag, content));
+      if (auto nkey = NumericKey(n.tag, content)) update(numeric_index_, *nkey);
     }
     for (const auto& tok : TokenizeWords(content)) update(term_index_, tok);
   }
@@ -308,31 +257,23 @@ Result<std::vector<DocId>> Collection::DocsWithValueInRange(
       }
     }
   }
-  std::vector<DocId> out;
-  auto collect = [&](const std::string&, const std::vector<DocId>& p) {
-    out.insert(out.end(), p.begin(), p.end());
-    return true;
+  // Only integer-valued contents can satisfy an integer-bounded ordering
+  // (CompareScalar treats mixed representations as incomparable), so the
+  // numeric index is complete for such a query.
+  const ValueIndex& index = numeric ? numeric_index_ : value_index_;
+  auto key = [&](const std::string& bound) {
+    return numeric ? *NumericKey(tag, bound) : ValueKey(tag, bound);
   };
-  if (numeric) {
-    // Only integer-valued contents can satisfy an integer-bounded ordering
-    // (CompareScalar treats mixed representations as incomparable), so the
-    // numeric index is complete for this query.
-    std::string scan_lo =
-        lo.has_value() ? *NumericKey(tag, *lo) : ValueKey(tag, "");
-    if (hi.has_value()) {
-      numeric_index_.RangeScan(scan_lo, *NumericKey(tag, *hi), collect);
-    } else {
-      numeric_index_.RangeScanExclusiveHi(scan_lo, TagPrefixEnd(tag),
-                                          collect);
-    }
-  } else {
-    std::string scan_lo = ValueKey(tag, lo.value_or(""));
-    if (hi.has_value()) {
-      value_index_.RangeScan(scan_lo, ValueKey(tag, *hi), collect);
-    } else {
-      value_index_.RangeScanExclusiveHi(scan_lo, TagPrefixEnd(tag),
-                                        collect);
-    }
+  // Keys in [lo, hi], or from lo to the end of the tag's keys.
+  const std::string scan_lo = lo.has_value() ? key(*lo) : ValueKey(tag, "");
+  const std::string scan_hi = hi.has_value() ? key(*hi) : TagPrefixEnd(tag);
+  auto first = index.lower_bound(scan_lo);
+  auto last = scan_hi < scan_lo   ? first
+              : hi.has_value()    ? index.upper_bound(scan_hi)
+                                  : index.lower_bound(scan_hi);
+  std::vector<DocId> out;
+  for (auto it = first; it != last; ++it) {
+    out.insert(out.end(), it->second.begin(), it->second.end());
   }
   if (auto sym = Interner::Global().Find(tag)) {
     auto it = irregular_docs_.find(*sym);
@@ -529,9 +470,8 @@ Collection::StepPostings Collection::Resolve(const PlanStep& step) const {
     auto& postings = out.values.emplace();
     for (const auto& value : common) {
       if (value.empty() || value.size() > kMaxIndexedValue) continue;
-      if (const auto* p = value_index_.Get(ValueKey(step.tag, value))) {
-        postings.push_back(p);
-      }
+      auto it = value_index_.find(ValueKey(step.tag, value));
+      if (it != value_index_.end()) postings.push_back(&it->second);
     }
   }
   for (const auto& bound : step.bounds) {
@@ -617,8 +557,8 @@ Collection::Stats Collection::GetStats() const {
   stats.live_docs = by_key_.size();
   stats.tag_index_entries = tag_index_.size();
   stats.term_index_entries = term_index_.size();
-  stats.value_index_keys = value_index_.key_count();
-  stats.numeric_index_keys = numeric_index_.key_count();
+  stats.value_index_keys = value_index_.size();
+  stats.numeric_index_keys = numeric_index_.size();
   stats.approx_bytes = ApproxByteSize();
   return stats;
 }
@@ -633,69 +573,31 @@ size_t Collection::ApproxByteSize() const {
 
 std::shared_ptr<const tax::DataTree> Collection::DecodedTree(DocId id) const {
   StoreMetrics& m = Instruments();
+  const Entry& entry = docs_[id];
   {
-    std::lock_guard<std::mutex> lock(tree_cache_mu_);
-    auto it = tree_cache_.find(id);
-    if (it != tree_cache_.end()) {
-      ++tree_cache_hits_;
+    std::lock_guard<std::mutex> lock(tree_mu_);
+    if (entry.tree != nullptr) {
+      ++tree_stats_.hits;
       m.cache_hits.Increment();
-      tree_lru_.splice(tree_lru_.begin(), tree_lru_, it->second.lru_it);
-      return it->second.tree;
+      return entry.tree;
     }
-    ++tree_cache_misses_;
+    ++tree_stats_.misses;
     m.cache_misses.Increment();
   }
-  // Decode outside the lock: FromXml dominates the cost, and documents are
-  // immutable per DocId, so racing decoders build identical trees and the
-  // first one into the map wins.
+  // Decode outside the lock: FromXml dominates the cost.
   auto tree = std::make_shared<const tax::DataTree>(
-      tax::DataTree::FromXml(docs_[id].doc, docs_[id].doc.root()));
-  std::lock_guard<std::mutex> lock(tree_cache_mu_);
-  auto it = tree_cache_.find(id);
-  if (it != tree_cache_.end()) {
-    tree_lru_.splice(tree_lru_.begin(), tree_lru_, it->second.lru_it);
-    return it->second.tree;
+      tax::DataTree::FromXml(entry.doc, entry.doc.root()));
+  std::lock_guard<std::mutex> lock(tree_mu_);
+  if (entry.tree == nullptr) {
+    entry.tree = std::move(tree);
+    ++tree_stats_.entries;
   }
-  tree_lru_.push_front(id);
-  tree_cache_.emplace(id, TreeCacheEntry{tree, tree_lru_.begin()});
-  while (tree_cache_.size() > tree_cache_capacity_) {
-    tree_cache_.erase(tree_lru_.back());
-    tree_lru_.pop_back();
-  }
-  return tree;
-}
-
-void Collection::SetTreeCacheCapacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(tree_cache_mu_);
-  tree_cache_capacity_ = std::max<size_t>(1, capacity);
-  while (tree_cache_.size() > tree_cache_capacity_) {
-    tree_cache_.erase(tree_lru_.back());
-    tree_lru_.pop_back();
-  }
+  return entry.tree;
 }
 
 Collection::TreeCacheStats Collection::GetTreeCacheStats() const {
-  std::lock_guard<std::mutex> lock(tree_cache_mu_);
-  TreeCacheStats stats;
-  stats.hits = tree_cache_hits_;
-  stats.misses = tree_cache_misses_;
-  stats.entries = tree_cache_.size();
-  stats.capacity = tree_cache_capacity_;
-  return stats;
-}
-
-void Collection::ResetTreeCacheStats() {
-  std::lock_guard<std::mutex> lock(tree_cache_mu_);
-  tree_cache_hits_ = 0;
-  tree_cache_misses_ = 0;
-}
-
-void Collection::InvalidateCachedTree(DocId id) {
-  std::lock_guard<std::mutex> lock(tree_cache_mu_);
-  auto it = tree_cache_.find(id);
-  if (it == tree_cache_.end()) return;
-  tree_lru_.erase(it->second.lru_it);
-  tree_cache_.erase(it);
+  std::lock_guard<std::mutex> lock(tree_mu_);
+  return tree_stats_;
 }
 
 }  // namespace toss::store

@@ -14,7 +14,6 @@
 #define TOSS_STORE_COLLECTION_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,7 +24,6 @@
 
 #include "common/interner.h"
 #include "common/result.h"
-#include "store/btree.h"
 #include "tax/data_tree.h"
 #include "xml/xml_document.h"
 
@@ -84,11 +82,6 @@ class Collection {
  public:
   explicit Collection(std::string name) : name_(std::move(name)) {}
 
-  // Movable despite the cache mutex (the mutex itself is not moved; no
-  // concurrent access may be in flight during a move).
-  Collection(Collection&& other) noexcept;
-  Collection& operator=(Collection&& other) noexcept;
-
   const std::string& name() const { return name_; }
   size_t size() const { return docs_.size(); }
 
@@ -138,35 +131,26 @@ class Collection {
   /// this is a cheap sum, not a re-serialization.
   size_t ApproxByteSize() const;
 
-  // --- Decoded-tree cache --------------------------------------------------
+  // --- Decoded trees -------------------------------------------------------
   //
   // Algebra evaluation works on tax::DataTree, not raw XML; decoding is the
   // dominant per-document cost once candidates are pruned. Documents are
-  // immutable per DocId (Replace allocates a fresh id), so decoded trees
-  // are cached under the DocId in a thread-safe, capacity-bounded LRU and
-  // shared across queries and worker threads. Remove/Replace drop the dead
-  // id's entry eagerly.
+  // immutable per DocId (Replace allocates a fresh id), so each document
+  // keeps its decoded tree once built, shared across queries and worker
+  // threads. Remove/Replace drop the dead id's tree.
 
-  /// The decoded (and tag-indexed) tree of document `id`, decoding and
-  /// caching it on first access. Safe to call concurrently.
+  /// The decoded (and tag-indexed) tree of document `id`, decoding it on
+  /// first access. Safe to call concurrently.
   std::shared_ptr<const tax::DataTree> DecodedTree(DocId id) const;
 
-  /// Caps the number of cached decoded trees (clamped to >= 1). Shrinking
-  /// evicts least-recently-used entries immediately.
-  void SetTreeCacheCapacity(size_t capacity);
-
+  /// DecodedTree calls that found the tree built (hits) or built it
+  /// (misses), and the documents holding a built tree (entries).
   struct TreeCacheStats {
     size_t hits = 0;
     size_t misses = 0;
     size_t entries = 0;
-    size_t capacity = 0;
   };
   TreeCacheStats GetTreeCacheStats() const;
-
-  /// Zeroes the cache's hit/miss counters (cached entries stay). The
-  /// process-wide `store.tree_cache.*` registry counters are unaffected --
-  /// they stay cumulative across resets and Database::Reload.
-  void ResetTreeCacheStats();
 
   /// Aggregate statistics (sizes of the catalog and each index).
   struct Stats {
@@ -209,13 +193,21 @@ class Collection {
     xml::XmlDocument doc;
     bool live = true;
     size_t serialized_bytes = 0;  ///< recorded at Insert/Replace
+    /// The decoded tree, built on first DecodedTree call (guarded by
+    /// tree_mu_).
+    mutable std::shared_ptr<const tax::DataTree> tree = nullptr;
   };
+  /// Ordered (tag, value) keys to the sorted postings of their documents.
+  using ValueIndex = std::map<std::string, std::vector<DocId>, std::less<>>;
 
+  /// Appends a new live entry for `key`, indexed.
+  DocId Append(std::string key, xml::XmlDocument doc);
+  /// Unindexes entry `id`, marks it dead and drops its decoded tree.
+  void Retire(DocId id);
   /// Adds (`add`) or erases document `id`'s postings in every index, by
   /// one walk over its elements: removal erases exactly what insertion
   /// added, at a cost bounded by the document, not the index.
   void UpdatePostings(DocId id, bool add);
-  void InvalidateCachedTree(DocId id);
 
   /// One plan step resolved against the indexes, without materializing
   /// its postings: candidates are probed against them instead.
@@ -229,7 +221,7 @@ class Collection {
   // Secondary indexes. Every posting is a sorted vector of live doc ids:
   // a new document's id is the largest yet (docs_.size()), so indexing
   // appends, removal binary-searches and erases, and a probe is a binary
-  // search over contiguous ids. Exact values live in two B+-trees --
+  // search over contiguous ids. Exact values live in two ordered maps --
   // lexicographic raw keys plus an order-preserving numeric encoding -- so
   // equality lookups and range scans share storage. An emptied posting is
   // dropped, so the indexes equal those built fresh from the live
@@ -251,24 +243,14 @@ class Collection {
   std::unordered_map<SymbolId, std::vector<DocId>> irregular_docs_;
   std::vector<DocId> wildcard_tag_docs_;
   std::unordered_map<std::string, std::vector<DocId>> term_index_;
-  BPlusTree value_index_;    // ValueKey(tag, content)
-  BPlusTree numeric_index_;  // NumericKey(tag, content), integer contents
+  ValueIndex value_index_;    // ValueKey(tag, content)
+  ValueIndex numeric_index_;  // NumericKey(tag, content), integer contents
 
-  // Decoded-tree LRU (front of tree_lru_ = most recently used). All cache
-  // state is guarded by tree_cache_mu_; decoding itself runs outside the
-  // lock (racing decoders of one DocId produce identical trees; the first
-  // insert wins).
-  struct TreeCacheEntry {
-    std::shared_ptr<const tax::DataTree> tree;
-    std::list<DocId>::iterator lru_it;
-  };
-  static constexpr size_t kDefaultTreeCacheCapacity = 16384;
-  mutable std::mutex tree_cache_mu_;
-  mutable std::list<DocId> tree_lru_;
-  mutable std::unordered_map<DocId, TreeCacheEntry> tree_cache_;
-  mutable size_t tree_cache_hits_ = 0;
-  mutable size_t tree_cache_misses_ = 0;
-  size_t tree_cache_capacity_ = kDefaultTreeCacheCapacity;
+  // Guards every Entry::tree and the counters below, held only to read or
+  // swap a pointer; decoding runs outside it (racing decoders of one DocId
+  // build identical trees, and the first one stored wins).
+  mutable std::mutex tree_mu_;
+  mutable TreeCacheStats tree_stats_;
 };
 
 }  // namespace toss::store

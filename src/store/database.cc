@@ -500,18 +500,6 @@ Result<Database> Database::Open(const std::string& dir, Env* env,
   return Finish(Status::IOError("no intact snapshot in " + dir + detail));
 }
 
-Status Database::Reload(const std::string& dir, Env* env,
-                        RecoveryReport* report) {
-  if (durable_ != nullptr) {
-    return Status::InvalidArgument(
-        "durable database: Reload would detach the write-ahead log");
-  }
-  TOSS_ASSIGN_OR_RETURN(Database fresh,
-                        Open(dir, env ? env : Env::Default(), report));
-  collections_ = std::move(fresh.collections_);
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // Durable live ingest
 // ---------------------------------------------------------------------------

@@ -101,15 +101,6 @@ class Database {
                                RecoveryReport* report = nullptr,
                                obs::Span* span = nullptr);
 
-  /// Re-opens `dir` in place: on success this database's contents are
-  /// replaced by the on-disk state and every collection's decoded-tree
-  /// cache starts cold (the old collections -- and their caches -- are
-  /// destroyed). On failure the in-memory state is left untouched.
-  /// Query executors hold the Database pointer, so they observe the new
-  /// state on their next query without rebinding.
-  Status Reload(const std::string& dir, Env* env = nullptr,
-                RecoveryReport* report = nullptr);
-
   // --- Durable live ingest (DESIGN.md "Write path & WAL") ------------------
   //
   // OpenDurable loads like Open, truncates any torn log tail, and attaches

@@ -219,6 +219,7 @@ class Enumerator {
       }
     }
     for (NodeId cand : candidates) {
+      if (tuples_.size() > kMaxPostingsPerSubtree) break;
       current_.mapping.Set(pnode.label, cand);
       TOSS_ASSIGN_OR_RETURN(bool pass, PassesPrefilters(index));
       if (pass) {

@@ -122,12 +122,18 @@ struct PartialMatchOptions {
   bool head_must_be_root = false;
 };
 
+/// Partial matches per subtree and document beyond which the join engine
+/// falls back to the pairwise join: such postings would cost more to
+/// materialize and merge than the pairwise scan they replace.
+inline constexpr size_t kMaxPostingsPerSubtree = 100000;
+
 /// Enumerates mappings of the plan's pattern subtree rooted at node index
 /// `head` into `tree`, with the full enumeration's candidate order and
 /// prefilter pushdown but WITHOUT the final condition check (the join
 /// engine completes mappings across trees first). Each tuple holds the
 /// images of the subtree's pattern nodes in ascending pattern-index order
-/// (head first).
+/// (head first). Enumeration stops after kMaxPostingsPerSubtree + 1
+/// tuples, so a result of that size means "too many".
 Result<std::vector<std::vector<NodeId>>> FindPartialMatches(
     const EmbeddingPlan& plan, size_t head, const DataTree& tree,
     const ConditionSemantics& semantics, const PartialMatchOptions& options);

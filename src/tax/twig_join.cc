@@ -13,10 +13,6 @@ namespace toss::tax {
 
 namespace {
 
-/// Posting lists beyond this size cost more to materialize and merge than
-/// the pairwise scan they replace; the executor falls back for the join.
-constexpr size_t kMaxPostingsPerSubtree = 100000;
-
 /// TwigValueFilter caps. The value universe bounds every bitset (and the
 /// compat closure is universe^2 bits at worst); free-pair checks invoke the
 /// oracle's measure fallback, the one per-pair cost that is not a cheap

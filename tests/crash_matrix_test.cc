@@ -227,32 +227,6 @@ TEST_F(CrashMatrixTest, RepeatedCrashesAcrossSavesStillConverge) {
   EXPECT_EQ(Fingerprint(*final_db), fp_b_);
 }
 
-TEST_F(CrashMatrixTest, ReloadSwapsStateInPlaceAndResetsTreeCaches) {
-  ResetDirToA();
-  Database db;
-  ASSERT_TRUE(db.Reload(dir_).ok());
-  auto coll = db.GetCollection("dblp");
-  ASSERT_TRUE(coll.ok());
-  // Warm the decoded-tree cache.
-  for (DocId id : (*coll)->AllDocs()) (void)(*coll)->DecodedTree(id);
-  EXPECT_GT((*coll)->GetTreeCacheStats().entries, 0u);
-  EXPECT_EQ(Fingerprint(db), fp_a_);
-
-  // Commit B on disk, reload in place: contents swap, caches start cold.
-  ASSERT_TRUE(b_.Save(dir_).ok());
-  ASSERT_TRUE(db.Reload(dir_).ok());
-  EXPECT_EQ(Fingerprint(db), fp_b_);
-  auto fresh = db.GetCollection("dblp");
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ((*fresh)->GetTreeCacheStats().entries, 0u);
-  EXPECT_EQ((*fresh)->GetTreeCacheStats().hits, 0u);
-
-  // A failed reload leaves the in-memory state untouched.
-  fs::remove_all(dir_);
-  EXPECT_FALSE(db.Reload(dir_).ok());
-  EXPECT_EQ(Fingerprint(db), fp_b_);
-}
-
 TEST_F(CrashMatrixTest, HostileKeysSurviveTheFullMatrixProtocol) {
   // Keys exercising every escape path, saved and recovered byte-exact.
   Database db;

@@ -68,7 +68,6 @@ class ParallelExecTest : public ::testing::Test {
       const Seo* seo = use_toss ? &seo_ : nullptr;
       const TypeSystem* types = use_toss ? &types_ : nullptr;
       QueryExecutor par(&db_, seo, types);
-      par.SetParallelism(4);
       check(par, reference::Evaluator(&db_, seo, types));
     }
   }
@@ -83,7 +82,6 @@ class ParallelExecTest : public ::testing::Test {
 TEST_F(ParallelExecTest, ParallelSelectMatchesReference) {
   ForBothSemantics([&](const QueryExecutor& par,
                        const reference::Evaluator& ref) {
-    EXPECT_EQ(par.parallelism(), 4u);
     for (const auto& q : queries_) {
       EXPECT_TRUE(reference::SameAnswer(
           par.Select("dblp", q.pattern, q.sl, Width(4)),
@@ -94,17 +92,19 @@ TEST_F(ParallelExecTest, ParallelSelectMatchesReference) {
 }
 
 TEST_F(ParallelExecTest, ParallelismOfOneIsSequentialPath) {
+  // Widths 0 and 1 both run the inline loop.
   QueryExecutor exec(&db_, &seo_, &types_);
-  exec.SetParallelism(0);  // clamped to 1
-  EXPECT_EQ(exec.parallelism(), 1u);
-  auto r = exec.Select("dblp", queries_[0].pattern, queries_[0].sl,
-                       Width(exec.parallelism()));
-  EXPECT_TRUE(r.ok());
+  auto zero = exec.Select("dblp", queries_[0].pattern, queries_[0].sl,
+                          Width(0));
+  auto one = exec.Select("dblp", queries_[0].pattern, queries_[0].sl,
+                         Width(1));
+  ASSERT_TRUE(zero.ok());
+  ASSERT_TRUE(one.ok());
+  EXPECT_TRUE(reference::SameAnswer(zero, one));
 }
 
 TEST_F(ParallelExecTest, StatsStillPopulatedInParallelMode) {
   QueryExecutor par(&db_, &seo_, &types_);
-  par.SetParallelism(4);
   ExecStats stats;
   auto r = par.Select("dblp", queries_[0].pattern, queries_[0].sl, Width(4),
                       &stats);
@@ -117,7 +117,6 @@ TEST_F(ParallelExecTest, StatsStillPopulatedInParallelMode) {
 TEST_F(ParallelExecTest, ManyThreadsOnFewDocsFallsBack) {
   // Fewer docs than 2*threads: the sequential path runs; results valid.
   QueryExecutor par(&db_, &seo_, &types_);
-  par.SetParallelism(64);
   auto r = par.Select("dblp", queries_[0].pattern, queries_[0].sl,
                       Width(64));
   ASSERT_TRUE(r.ok());
@@ -200,7 +199,6 @@ TEST_F(ParallelExecTest, WorkerErrorAbortsPoolAndMatchesSequentialError) {
                       .value());
   QueryExecutor seq(&db_, &seo_, &types_);
   QueryExecutor par(&db_, &seo_, &types_);
-  par.SetParallelism(4);
   auto rs = seq.Select("dblp", pt, {1}, Width(1));
   auto rp = par.Select("dblp", pt, {1}, Width(4));
   ASSERT_FALSE(rs.ok());
@@ -246,7 +244,6 @@ TEST_F(ParallelExecTest, RepeatedQueriesHitTheDecodedTreeCache) {
   auto coll = db_.GetCollection("dblp");
   ASSERT_TRUE(coll.ok());
   QueryExecutor par(&db_, &seo_, &types_);
-  par.SetParallelism(4);
   ASSERT_TRUE(par.Select("dblp", queries_[0].pattern, queries_[0].sl,
                          Width(4))
                   .ok());

@@ -170,7 +170,7 @@ TEST_F(QueryLanguageTest, ExecuteJoinWithStats) {
       "WHERE $1.tag = \"tax_prod_root\" & $2.tag = \"inproceedings\" & "
       "$3.tag = \"title\" & $4.tag = \"article\" & $5.tag = \"title\" & "
       "$3.content ~ $5.content SELECT $2, $4",
-      &stats);
+      {}, &stats);
   ASSERT_TRUE(r.ok()) << r.status();
   // Both dblp titles are within eps=3 of "Views".
   EXPECT_EQ(eval::ExtractProvenance(*r, "inproceedings"),
@@ -186,7 +186,7 @@ TEST_F(QueryLanguageTest, ParseAndExecuteGroupBy) {
   EXPECT_EQ(q->kind, ParsedQuery::Kind::kGroupBy);
   EXPECT_EQ(q->group_label, 2);
 
-  auto r = ExecuteQuery(*exec_, *q, nullptr);
+  auto r = ExecuteQuery(*exec_, *q);
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->size(), 2u);  // two distinct booktitle strings
   EXPECT_EQ((*r)[0].node(0).tag, tax::kGroupRootTag);

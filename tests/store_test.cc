@@ -2,18 +2,20 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <thread>
 
 #include "common/random.h"
 #include "obs/metrics.h"
 #include "store/database.h"
+#include "store/key_encoding.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
 
 namespace toss::store {
 namespace {
 
-Collection MakeSmallCollection() {
-  Collection coll("papers");
+/// Adds three small papers: p1 and p2 inproceedings, p3 an article.
+void AddSmallPapers(Collection& coll) {
   EXPECT_TRUE(coll.InsertXml("p1",
                              "<inproceedings><author>Jeffrey Ullman</author>"
                              "<booktitle>SIGMOD Conference</booktitle>"
@@ -28,7 +30,6 @@ Collection MakeSmallCollection() {
                              "<article><author>Jeffrey Ullman</author>"
                              "<journal>TODS</journal></article>")
                   .ok());
-  return coll;
 }
 
 PlanStep TagStep(std::string tag) {
@@ -66,8 +67,51 @@ std::vector<DocId> ScanDocs(const Collection& coll, const PushdownPlan& plan) {
   return out;
 }
 
+TEST(KeyEncodingTest, EncodeOrderedIntPreservesNumericOrder) {
+  Random rng(17);
+  std::vector<long long> values = {-1000000, -42, -1, 0, 1, 7,
+                                   1998,     2000, 123456789};
+  for (int i = 0; i < 40; ++i) {
+    values.push_back(rng.UniformRange(-1000000000LL, 1000000000LL));
+  }
+  for (long long a : values) {
+    for (long long b : values) {
+      auto ea = EncodeOrderedInt(std::to_string(a));
+      auto eb = EncodeOrderedInt(std::to_string(b));
+      ASSERT_TRUE(ea.has_value());
+      ASSERT_TRUE(eb.has_value());
+      EXPECT_EQ(a < b, *ea < *eb) << a << " vs " << b;
+      EXPECT_EQ(a == b, *ea == *eb);
+    }
+  }
+}
+
+TEST(KeyEncodingTest, NonCanonicalSpellingsNormalize) {
+  EXPECT_EQ(EncodeOrderedInt("007"), EncodeOrderedInt("7"));
+  EXPECT_EQ(EncodeOrderedInt(" 42 "), EncodeOrderedInt("42"));
+  EXPECT_EQ(EncodeOrderedInt("abc"), std::nullopt);
+  EXPECT_EQ(EncodeOrderedInt("3.5"), std::nullopt);
+  EXPECT_EQ(EncodeOrderedInt(""), std::nullopt);
+}
+
+TEST(KeyEncodingTest, CompositeKeysAndPrefixBounds) {
+  std::string key = ValueKey("year", "1999");
+  EXPECT_EQ(key, std::string("year") + kKeySep + "1999");
+  // Every key with the tag prefix sorts below the prefix end.
+  std::string end = TagPrefixEnd("year");
+  EXPECT_LT(key, end);
+  EXPECT_LT(ValueKey("year", "\xf0\xf0"), end);
+  // Keys of other tags sort outside.
+  EXPECT_GT(ValueKey("zzz", "1"), end);
+  auto numeric = NumericKey("year", "1999");
+  ASSERT_TRUE(numeric.has_value());
+  EXPECT_LT(*numeric, end);
+  EXPECT_EQ(NumericKey("year", "abc"), std::nullopt);
+}
+
 TEST(CollectionTest, InsertAndLookup) {
-  Collection coll = MakeSmallCollection();
+  Collection coll("papers");
+  AddSmallPapers(coll);
   EXPECT_EQ(coll.size(), 3u);
   auto id = coll.FindKey("p2");
   ASSERT_TRUE(id.ok());
@@ -88,7 +132,8 @@ TEST(CollectionTest, MalformedXmlRejected) {
 }
 
 TEST(CollectionTest, QueryAcrossDocuments) {
-  Collection coll = MakeSmallCollection();
+  Collection coll("papers");
+  AddSmallPapers(coll);
   EXPECT_EQ(Keys(coll, coll.PlanDocs({ValueStep("author", "Jeffrey Ullman")})),
             (std::vector<std::string>{"p1", "p3"}));
   EXPECT_EQ(Keys(coll, coll.PlanDocs({TagStep("inproceedings"),
@@ -97,7 +142,8 @@ TEST(CollectionTest, QueryAcrossDocuments) {
 }
 
 TEST(CollectionTest, IndexPruningStats) {
-  Collection coll = MakeSmallCollection();
+  Collection coll("papers");
+  AddSmallPapers(coll);
   const PushdownPlan plan = {TagStep("inproceedings"),
                              ValueStep("booktitle", "VLDB")};
   QueryStats stats;
@@ -109,7 +155,8 @@ TEST(CollectionTest, IndexPruningStats) {
 }
 
 TEST(CollectionTest, TermIndexPrunesContains) {
-  Collection coll = MakeSmallCollection();
+  Collection coll("papers");
+  AddSmallPapers(coll);
   ASSERT_TRUE(
       coll.InsertXml("p4", "<paper><author>Abiteboulian</author></paper>")
           .ok());
@@ -151,14 +198,16 @@ TEST(CollectionTest, ValuePostingsAreFilteredByWordPostings) {
 }
 
 TEST(CollectionTest, MissingTagShortCircuits) {
-  Collection coll = MakeSmallCollection();
+  Collection coll("papers");
+  AddSmallPapers(coll);
   QueryStats stats;
   EXPECT_TRUE(coll.PlanDocs({TagStep("phdthesis")}, &stats).empty());
   EXPECT_EQ(stats.scanned_docs, 0u);
 }
 
 TEST(CollectionTest, RemoveHidesDocument) {
-  Collection coll = MakeSmallCollection();
+  Collection coll("papers");
+  AddSmallPapers(coll);
   ASSERT_TRUE(coll.Remove("p1").ok());
   EXPECT_TRUE(coll.Remove("p1").IsNotFound());
   EXPECT_EQ(Keys(coll, coll.PlanDocs({ValueStep("author", "Jeffrey Ullman")})),
@@ -262,6 +311,26 @@ TEST(CollectionTest, DocsWithValueInRange) {
                                         std::string("z"));
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->empty());
+  // Open ranges stop at the tag's last key: the keys of "years" and
+  // "names" sort right after those of "year" and "name".
+  ASSERT_TRUE(coll.InsertXml("later", "<p><years>2002</years>"
+                                      "<names>n2002</names></p>")
+                  .ok());
+  EXPECT_EQ(coll.DocsWithValueInRange("year", std::string("2001"),
+                                      std::nullopt)
+                ->size(),
+            3u);
+  EXPECT_EQ(coll.DocsWithValueInRange("name", std::string("n2001"),
+                                      std::nullopt)
+                ->size(),
+            3u);
+  // Inverted bounds: empty.
+  EXPECT_TRUE(coll.DocsWithValueInRange("year", std::string("2000"),
+                                        std::string("1998"))
+                  ->empty());
+  EXPECT_TRUE(coll.DocsWithValueInRange("name", std::string("n2000"),
+                                        std::string("n1998"))
+                  ->empty());
   // Non-integer numeric bounds are unsupported.
   EXPECT_TRUE(coll.DocsWithValueInRange("year", std::string("3.5"),
                                         std::nullopt)
@@ -306,7 +375,8 @@ TEST(CollectionTest, RangePredicatePrunesViaIndex) {
 }
 
 TEST(CollectionTest, ReplaceSwapsContentAndReindexes) {
-  Collection coll = MakeSmallCollection();
+  Collection coll("papers");
+  AddSmallPapers(coll);
   auto id = coll.Replace("p1",
                          std::move(*xml::Parse("<inproceedings>"
                                                "<author>New Author</author>"
@@ -326,7 +396,8 @@ TEST(CollectionTest, ReplaceSwapsContentAndReindexes) {
 }
 
 TEST(CollectionTest, ApproxByteSizePositive) {
-  Collection coll = MakeSmallCollection();
+  Collection coll("papers");
+  AddSmallPapers(coll);
   size_t full = coll.ApproxByteSize();
   EXPECT_GT(full, 100u);
   ASSERT_TRUE(coll.Remove("p1").ok());
@@ -336,7 +407,8 @@ TEST(CollectionTest, ApproxByteSizePositive) {
 TEST(CollectionTest, ApproxByteSizeMatchesSerialization) {
   // Sizes are recorded at Insert/Replace; the sum must equal what a full
   // re-serialization would report.
-  Collection coll = MakeSmallCollection();
+  Collection coll("papers");
+  AddSmallPapers(coll);
   size_t expected = 0;
   for (DocId id : coll.AllDocs()) {
     expected += xml::Write(coll.document(id)).size();
@@ -351,8 +423,9 @@ TEST(CollectionTest, ApproxByteSizeMatchesSerialization) {
   EXPECT_EQ(coll.ApproxByteSize(), expected);
 }
 
-TEST(CollectionTest, DecodedTreeCacheReturnsCorrectTrees) {
-  Collection coll = MakeSmallCollection();
+TEST(CollectionTest, DecodedTreeIsBuiltOnceAndShared) {
+  Collection coll("papers");
+  AddSmallPapers(coll);
   auto id = coll.FindKey("p1");
   ASSERT_TRUE(id.ok());
   auto tree = coll.DecodedTree(*id);
@@ -370,85 +443,106 @@ TEST(CollectionTest, DecodedTreeCacheReturnsCorrectTrees) {
   EXPECT_EQ(stats.entries, 1u);
 }
 
-TEST(CollectionTest, DecodedTreeCacheInvalidatedOnReplaceAndRemove) {
-  Collection coll = MakeSmallCollection();
+TEST(CollectionTest, DecodedTreeDroppedOnReplaceAndRemove) {
+  Collection coll("papers");
+  AddSmallPapers(coll);
   auto id = coll.FindKey("p2");
   ASSERT_TRUE(id.ok());
   auto before = coll.DecodedTree(*id);
+  std::weak_ptr<const tax::DataTree> dead = before;
   EXPECT_EQ(coll.GetTreeCacheStats().entries, 1u);
   auto new_id = coll.Replace(
       "p2", std::move(*xml::Parse("<inproceedings><booktitle>ICDE"
                                   "</booktitle></inproceedings>")));
   ASSERT_TRUE(new_id.ok());
   EXPECT_NE(*new_id, *id);
-  // The dead DocId's entry is gone; the new id decodes the new content.
+  // The dead DocId's tree is dropped; the new id decodes the new content.
   EXPECT_EQ(coll.GetTreeCacheStats().entries, 0u);
   auto after = coll.DecodedTree(*new_id);
   ASSERT_EQ(after->size(), 2u);
   EXPECT_EQ(after->node(1).content, "ICDE");
-  // The old shared_ptr stays valid for readers that grabbed it pre-replace.
+  // The old shared_ptr stays valid for readers that grabbed it pre-replace,
+  // and the tree is freed with the last of them.
   EXPECT_EQ(before->node(0).tag, "inproceedings");
+  before.reset();
+  EXPECT_TRUE(dead.expired());
+  dead = after;
+  after.reset();
   ASSERT_TRUE(coll.Remove("p2").ok());
   EXPECT_EQ(coll.GetTreeCacheStats().entries, 0u);
+  EXPECT_TRUE(dead.expired());
 }
 
-TEST(CollectionTest, DecodedTreeCacheEvictsLeastRecentlyUsed) {
-  Collection coll = MakeSmallCollection();
-  coll.SetTreeCacheCapacity(2);
-  auto p1 = coll.FindKey("p1");
-  auto p2 = coll.FindKey("p2");
-  auto p3 = coll.FindKey("p3");
-  (void)coll.DecodedTree(*p1);
-  (void)coll.DecodedTree(*p2);
-  (void)coll.DecodedTree(*p1);  // p1 now most recent
-  (void)coll.DecodedTree(*p3);  // evicts p2
-  auto stats = coll.GetTreeCacheStats();
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.capacity, 2u);
-  EXPECT_EQ(stats.misses, 3u);
-  (void)coll.DecodedTree(*p1);  // still cached
-  EXPECT_EQ(coll.GetTreeCacheStats().hits, 2u);
-  (void)coll.DecodedTree(*p2);  // was evicted: a fresh miss
-  EXPECT_EQ(coll.GetTreeCacheStats().misses, 4u);
-}
-
-TEST(CollectionTest, TreeCacheStatsResetMoveAndRegistryMirror) {
+TEST(CollectionTest, DecodedTreeCountersMirrorRegistry) {
   obs::Counter& reg_hits = obs::Metrics().GetCounter("store.tree_cache.hits");
   obs::Counter& reg_misses =
       obs::Metrics().GetCounter("store.tree_cache.misses");
   const uint64_t hits_before = reg_hits.Value();
   const uint64_t misses_before = reg_misses.Value();
 
-  Collection coll = MakeSmallCollection();
+  Collection coll("papers");
+  AddSmallPapers(coll);
   auto id = coll.FindKey("p1");
   ASSERT_TRUE(id.ok());
   (void)coll.DecodedTree(*id);  // miss
   (void)coll.DecodedTree(*id);  // hit
   EXPECT_EQ(coll.GetTreeCacheStats().hits, 1u);
   EXPECT_EQ(coll.GetTreeCacheStats().misses, 1u);
-  // The registry mirrors every hit/miss, cumulatively.
   EXPECT_EQ(reg_hits.Value(), hits_before + 1);
   EXPECT_EQ(reg_misses.Value(), misses_before + 1);
+}
 
-  // Explicit reset zeroes the per-collection view but keeps the cached
-  // entries; the registry counters stay cumulative.
-  coll.ResetTreeCacheStats();
-  auto stats = coll.GetTreeCacheStats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(reg_hits.Value(), hits_before + 1);
-
-  // Moves transfer the counters and zero the source -- the stale-stats gap
-  // around Database::Reload, where new collections replace old ones.
-  (void)coll.DecodedTree(*id);  // hit on the surviving entry
-  Collection moved = std::move(coll);
-  EXPECT_EQ(moved.GetTreeCacheStats().hits, 1u);
-  EXPECT_EQ(coll.GetTreeCacheStats().hits, 0u);  // NOLINT: moved-from probe
+// Racing first calls on one document decode it more than once, but every
+// caller gets the one tree that was stored first, and each call counts as
+// exactly one hit or one miss.
+TEST(CollectionTest, ConcurrentDecodedTreeYieldsOneTreePerDocument) {
+  Collection coll("papers");
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_TRUE(coll.InsertXml("k" + std::to_string(i),
+                               "<paper><title>T" + std::to_string(i) +
+                                   "</title><year>" + std::to_string(1990 + i) +
+                                   "</year></paper>")
+                    .ok());
+  }
+  const std::vector<DocId> ids = coll.AllDocs();
+  constexpr size_t kThreads = 8;
+  constexpr size_t kRounds = 3;
+  std::vector<std::vector<const tax::DataTree*>> seen(
+      kThreads, std::vector<const tax::DataTree*>(ids.size()));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < ids.size(); ++i) {
+          // A later round returning another tree clears the record.
+          auto tree = coll.DecodedTree(ids[i]);
+          if (round == 0) {
+            seen[t][i] = tree.get();
+          } else if (tree.get() != seen[t][i]) {
+            seen[t][i] = nullptr;
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto tree = coll.DecodedTree(ids[i]);
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t][i], tree.get()) << "thread " << t << " doc " << i;
+    }
+    const xml::XmlDocument& doc = coll.document(ids[i]);
+    EXPECT_TRUE(tree->Equals(tax::DataTree::FromXml(doc, doc.root())));
+  }
+  const auto stats = coll.GetTreeCacheStats();
+  EXPECT_EQ(stats.hits + stats.misses, (kThreads * kRounds + 1) * ids.size());
+  EXPECT_GE(stats.misses, ids.size());
+  EXPECT_EQ(stats.entries, ids.size());
 }
 
 TEST(CollectionTest, StatsTrackIndexes) {
-  Collection coll = MakeSmallCollection();
+  Collection coll("papers");
+  AddSmallPapers(coll);
   auto stats = coll.GetStats();
   EXPECT_EQ(stats.live_docs, 3u);
   EXPECT_GT(stats.tag_index_entries, 3u);
@@ -470,8 +564,16 @@ TEST(CollectionTest, ChurnedIndexesEqualFreshOnes) {
   const std::vector<std::string> tags = {"author", "year", "venue", "ye*",
                                          "note"};
   const std::vector<std::string> values = {
-      "Jeffrey Ullman", "Serge Abiteboul", "1999", "2000", "007", "",
-      "Data*",          "Views of Data",   std::string(300, 'q')};
+      "Jeffrey Ullman", "Serge Abiteboul", "1999", "2000", "007", "-5",
+      "3.5",            "",                "Data*", "Views of Data",
+      std::string(300, 'q')};
+  // Bound literals: integers in several spellings, a non-integer number
+  // (which no index scans), strings, and the empty string.
+  const std::vector<std::string> literals = {"007", "-5",   "1999", "2000",
+                                             "Data", "",    "3.5",  "Views"};
+  const std::vector<PlanStep::Order> orders = {
+      PlanStep::Order::kLt, PlanStep::Order::kLeq, PlanStep::Order::kGt,
+      PlanStep::Order::kGeq};
   auto random_doc = [&] {
     xml::XmlDocument doc;
     xml::NodeId root = doc.CreateRoot("paper");
@@ -533,7 +635,9 @@ TEST(CollectionTest, ChurnedIndexesEqualFreshOnes) {
         step.any_of = {{rng.Choice(values), rng.Choice(values)}};
         break;
       case 1:
-        step.bounds = {{PlanStep::Order::kGeq, "1999"}};
+        for (size_t n = 1 + rng.Uniform(2); n > 0; --n) {
+          step.bounds.push_back({rng.Choice(orders), rng.Choice(literals)});
+        }
         break;
       case 2:
         step.contains = {rng.Bernoulli(0.5) ? " of " : "Ullman"};
@@ -543,7 +647,7 @@ TEST(CollectionTest, ChurnedIndexesEqualFreshOnes) {
     }
     return step;
   };
-  for (int trial = 0; trial < 300; ++trial) {
+  for (int trial = 0; trial < 1000; ++trial) {
     PushdownPlan plan = {random_step()};
     if (rng.Bernoulli(0.5)) plan.push_back(random_step());
     QueryStats churned_stats, fresh_stats;

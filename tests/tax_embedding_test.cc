@@ -372,5 +372,28 @@ TEST(EmbeddingTest, IllTypedConditionSurfacesError) {
   EXPECT_TRUE(r.status().IsInvalidArgument());
 }
 
+TEST(EmbeddingTest, PartialMatchesStopOneTupleAfterTheCap) {
+  // An ad pair over a chain n deep has n * (n - 1) / 2 partial matches.
+  auto chain = [](int depth) {
+    DataTree tree;
+    NodeId node = tree.CreateRoot("c");
+    for (int d = 1; d < depth; ++d) node = tree.AppendChild(node, "c");
+    return tree;
+  };
+  PatternTree pt;
+  int root = pt.AddRoot();
+  pt.AddChild(pt.AddChild(root, EdgeKind::kAd), EdgeKind::kAd);
+  pt.SetCondition(ParseCondition("$1.tag = \"tax_prod_root\"").value());
+  auto plan = EmbeddingPlan::Build(pt);
+  ASSERT_TRUE(plan.ok());
+  TaxSemantics sem;
+  auto below = FindPartialMatches(*plan, 1, chain(100), sem, {});
+  ASSERT_TRUE(below.ok());
+  EXPECT_EQ(below->size(), 4950u);
+  auto past = FindPartialMatches(*plan, 1, chain(460), sem, {});  // 105,570
+  ASSERT_TRUE(past.ok());
+  EXPECT_EQ(past->size(), kMaxPostingsPerSubtree + 1);
+}
+
 }  // namespace
 }  // namespace toss::tax
