@@ -20,9 +20,8 @@
 //
 // The dictionary is process-wide (Global()), not per-Database: DataTree
 // decoding is a static path shared by every store and by trees built in
-// tests. Databases persist their term set per snapshot generation purely
-// as a warm-start (store/snapshot.h "symbols" section); correctness never
-// depends on persisted ids because decode re-interns from text.
+// tests. It is never persisted: ids are process-local, and every consumer
+// interns from text (a store its tags at insert, decoding its contents).
 
 #ifndef TOSS_COMMON_INTERNER_H_
 #define TOSS_COMMON_INTERNER_H_

@@ -140,7 +140,12 @@ Status HttpServer::Start() {
 
 void HttpServer::Stop() {
   if (started_) {
-    stopping_.store(true, std::memory_order_relaxed);
+    {
+      // Under jobs_mu_: a worker between its wait predicate and its sleep
+      // would otherwise miss the notify below and never wake.
+      std::lock_guard<std::mutex> lock(jobs_mu_);
+      stopping_.store(true, std::memory_order_relaxed);
+    }
     uint64_t one = 1;
     [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
     loop_.join();

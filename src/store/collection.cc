@@ -152,32 +152,28 @@ Result<DocId> Collection::FindKey(const std::string& key) const {
 
 std::vector<DocId> Collection::AllDocs() const {
   std::vector<DocId> out;
-  for (DocId id = 0; id < docs_.size(); ++id) {
-    if (docs_[id].live) out.push_back(id);
-  }
+  out.reserve(docs_.size());
+  for (const auto& [id, entry] : docs_) out.push_back(id);
   return out;
 }
 
 DocId Collection::Append(std::string key, xml::XmlDocument doc) {
-  DocId id = static_cast<DocId>(docs_.size());
-  docs_.push_back({std::move(key), std::move(doc)});
-  docs_[id].serialized_bytes = xml::Write(docs_[id].doc).size();
+  const DocId id = next_id_++;
+  docs_.emplace(id, Entry{std::move(key), std::move(doc)});
   UpdatePostings(id, /*add=*/true);
   return id;
 }
 
 void Collection::Retire(DocId id) {
   UpdatePostings(id, /*add=*/false);
-  docs_[id].live = false;
+  auto it = docs_.find(id);
   std::lock_guard<std::mutex> lock(tree_mu_);
-  if (docs_[id].tree != nullptr) {
-    docs_[id].tree.reset();
-    --tree_stats_.entries;
-  }
+  if (it->second.tree != nullptr) --tree_stats_.entries;
+  docs_.erase(it);
 }
 
 void Collection::UpdatePostings(DocId id, bool add) {
-  const xml::XmlDocument& doc = docs_[id].doc;
+  const xml::XmlDocument& doc = docs_.at(id).doc;
   Interner& interner = Interner::Global();
   // `id` is the largest id any posting holds when it is added, so adding
   // appends (once per document) and keeps the posting sorted.
@@ -533,7 +529,7 @@ std::vector<DocId> Collection::PlanDocs(
     std::erase_if(docs, [&](DocId id) {
       if (!steps[i].NeedsCheck(id)) return false;
       ++checked;
-      return !StepMatches(docs_[id].doc, plan[i]);
+      return !StepMatches(docs_.at(id).doc, plan[i]);
     });
     scanned += checked;
     if (step_stats != nullptr) {
@@ -547,14 +543,14 @@ std::vector<DocId> Collection::PlanDocs(
   if (stats != nullptr) {
     stats->candidate_docs = docs.size();
     stats->scanned_docs = scanned;
-    stats->total_docs = by_key_.size();
+    stats->total_docs = docs_.size();
   }
   return docs;
 }
 
 Collection::Stats Collection::GetStats() const {
   Stats stats;
-  stats.live_docs = by_key_.size();
+  stats.live_docs = docs_.size();
   stats.tag_index_entries = tag_index_.size();
   stats.term_index_entries = term_index_.size();
   stats.value_index_keys = value_index_.size();
@@ -565,15 +561,13 @@ Collection::Stats Collection::GetStats() const {
 
 size_t Collection::ApproxByteSize() const {
   size_t total = 0;
-  for (const auto& e : docs_) {
-    if (e.live) total += e.serialized_bytes;
-  }
+  for (const auto& [id, entry] : docs_) total += xml::Write(entry.doc).size();
   return total;
 }
 
 std::shared_ptr<const tax::DataTree> Collection::DecodedTree(DocId id) const {
   StoreMetrics& m = Instruments();
-  const Entry& entry = docs_[id];
+  const Entry& entry = docs_.at(id);
   {
     std::lock_guard<std::mutex> lock(tree_mu_);
     if (entry.tree != nullptr) {

@@ -29,7 +29,10 @@
 
 namespace toss::store {
 
-using DocId = uint32_t;
+/// A document's id within its collection: drawn from a counter, never
+/// reused, so a Replace yields a fresh id and ids order documents by
+/// insertion.
+using DocId = uint64_t;
 
 /// Execution counters for one PlanDocs call.
 struct QueryStats {
@@ -83,6 +86,7 @@ class Collection {
   explicit Collection(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
+  /// Live documents.
   size_t size() const { return docs_.size(); }
 
   /// Adds a document under `key` (unique within the collection). The
@@ -103,10 +107,11 @@ class Collection {
   /// Document lookup by key.
   Result<DocId> FindKey(const std::string& key) const;
 
-  const xml::XmlDocument& document(DocId id) const { return docs_[id].doc; }
-  const std::string& key(DocId id) const { return docs_[id].key; }
+  /// The document and key of live document `id`.
+  const xml::XmlDocument& document(DocId id) const { return docs_.at(id).doc; }
+  const std::string& key(DocId id) const { return docs_.at(id).key; }
 
-  /// Live document ids in insertion order.
+  /// Live document ids, ascending (insertion order).
   std::vector<DocId> AllDocs() const;
 
   /// Live documents satisfying every step of `plan`, ascending; every live
@@ -127,8 +132,8 @@ class Collection {
                                   nullptr) const;
 
   /// Total serialized byte size of all live documents (the paper's
-  /// "data size" axis). Sizes are recorded once at Insert/Replace time, so
-  /// this is a cheap sum, not a re-serialization.
+  /// "data size" axis), computed by serializing each one: a report, not a
+  /// hot path.
   size_t ApproxByteSize() const;
 
   // --- Decoded trees -------------------------------------------------------
@@ -137,7 +142,7 @@ class Collection {
   // dominant per-document cost once candidates are pruned. Documents are
   // immutable per DocId (Replace allocates a fresh id), so each document
   // keeps its decoded tree once built, shared across queries and worker
-  // threads. Remove/Replace drop the dead id's tree.
+  // threads. Remove/Replace erase the dead id's entry, tree included.
 
   /// The decoded (and tag-indexed) tree of document `id`, decoding it on
   /// first access. Safe to call concurrently.
@@ -191,8 +196,6 @@ class Collection {
   struct Entry {
     std::string key;
     xml::XmlDocument doc;
-    bool live = true;
-    size_t serialized_bytes = 0;  ///< recorded at Insert/Replace
     /// The decoded tree, built on first DecodedTree call (guarded by
     /// tree_mu_).
     mutable std::shared_ptr<const tax::DataTree> tree = nullptr;
@@ -200,9 +203,9 @@ class Collection {
   /// Ordered (tag, value) keys to the sorted postings of their documents.
   using ValueIndex = std::map<std::string, std::vector<DocId>, std::less<>>;
 
-  /// Appends a new live entry for `key`, indexed.
+  /// Adds an entry for `key` under the next id, indexed.
   DocId Append(std::string key, xml::XmlDocument doc);
-  /// Unindexes entry `id`, marks it dead and drops its decoded tree.
+  /// Unindexes entry `id` and erases it: document, key and decoded tree.
   void Retire(DocId id);
   /// Adds (`add`) or erases document `id`'s postings in every index, by
   /// one walk over its elements: removal erases exactly what insertion
@@ -215,11 +218,13 @@ class Collection {
   StepPostings Resolve(const PlanStep& step) const;
 
   std::string name_;
-  std::vector<Entry> docs_;
+  /// Live documents only; a retired id's entry is erased.
+  std::map<DocId, Entry> docs_;
+  DocId next_id_ = 0;
   std::map<std::string, DocId> by_key_;
 
   // Secondary indexes. Every posting is a sorted vector of live doc ids:
-  // a new document's id is the largest yet (docs_.size()), so indexing
+  // a new document's id is the largest yet (next_id_), so indexing
   // appends, removal binary-searches and erases, and a probe is a binary
   // search over contiguous ids. Exact values live in two ordered maps --
   // lexicographic raw keys plus an order-preserving numeric encoding -- so

@@ -4,10 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <optional>
-#include <set>
 #include <utility>
 
-#include "common/interner.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
@@ -69,27 +67,6 @@ std::string PathJoin(const std::string& a, const std::string& b) {
   return (fs::path(a) / b).string();
 }
 
-/// Every term id-based evaluation will intern for `doc` (mirrors
-/// tax::DataTree::BuildTagIndex): each element's tag plus the concatenation
-/// of its direct text children (the tax `content` attribute).
-void CollectSymbolTerms(const xml::XmlDocument& doc,
-                        std::set<std::string>* out) {
-  std::vector<xml::NodeId> elements{doc.root()};
-  auto descendants = doc.ElementDescendants(doc.root());
-  elements.insert(elements.end(), descendants.begin(), descendants.end());
-  for (xml::NodeId nid : elements) {
-    const auto& n = doc.node(nid);
-    out->insert(n.tag);
-    std::string content;
-    for (xml::NodeId c : n.children) {
-      if (doc.node(c).kind == xml::NodeKind::kText) {
-        content += doc.node(c).text;
-      }
-    }
-    out->insert(std::move(content));
-  }
-}
-
 /// Loads one sealed generation, verifying byte counts and checksums.
 /// `wal_out` (optional) receives the generation's tail-log descriptor.
 Result<Database> LoadGeneration(const std::string& dir,
@@ -101,29 +78,6 @@ Result<Database> LoadGeneration(const std::string& dir,
   TOSS_ASSIGN_OR_RETURN(SnapshotManifest manifest,
                         ParseManifest(manifest_text));
   if (wal_out != nullptr) *wal_out = manifest.wal;
-  // Pre-intern the persisted term dictionary before any document decodes,
-  // so indexing below is all dictionary hits. A corrupt table rejects the
-  // generation like a corrupt document.
-  {
-    const ManifestSymbols& sym = manifest.symbols;
-    std::string path = PathJoin(gdir, sym.file);
-    TOSS_ASSIGN_OR_RETURN(std::string payload, env->ReadFile(path));
-    if (payload.size() != sym.bytes) {
-      return Status::IOError("truncated symbols file " + path +
-                             ": manifest records " + std::to_string(sym.bytes) +
-                             " bytes, found " +
-                             std::to_string(payload.size()));
-    }
-    if (Crc32(payload) != sym.crc32) {
-      return Status::IOError("checksum mismatch for " + path);
-    }
-    TOSS_ASSIGN_OR_RETURN(std::vector<std::string> terms,
-                          ParseSymbolsFile(payload, sym.count));
-    Interner& interner = Interner::Global();
-    // Dictionary overflow degrades to lazy behavior (terms intern on first
-    // decode, or not at all); never a load failure.
-    for (const std::string& term : terms) (void)interner.Intern(term);
-  }
   Database db;
   for (const ManifestCollection& mc : manifest.collections) {
     TOSS_ASSIGN_OR_RETURN(Collection * coll, db.CreateCollection(mc.name));
@@ -321,29 +275,6 @@ Status Database::SaveImpl(const std::string& dir, Env* env,
     manifest.collections.push_back(std::move(mc));
   }
 
-  // Term-dictionary sidecar: every tag/content term of the snapshot's
-  // documents, sorted, so the next Open pre-interns them and id-based
-  // evaluation starts warm (DESIGN.md "Term dictionary & id-based
-  // evaluation").
-  {
-    std::set<std::string> term_set;
-    for (const auto& [name, coll] : collections_) {
-      for (DocId id : coll->AllDocs()) {
-        CollectSymbolTerms(coll->document(id), &term_set);
-      }
-    }
-    std::vector<std::string> terms(term_set.begin(), term_set.end());
-    const std::string payload = FormatSymbolsFile(terms);
-    ManifestSymbols& sym = manifest.symbols;
-    sym.count = terms.size();
-    sym.bytes = payload.size();
-    sym.crc32 = Crc32(payload);
-    const std::string sym_path = PathJoin(tmp_dir, sym.file);
-    TOSS_RETURN_NOT_OK(
-        Run([&] { return env->WriteFile(sym_path, payload); }));
-    TOSS_RETURN_NOT_OK(Run([&] { return env->SyncFile(sym_path); }));
-    write_span.Annotate("symbols_written", sym.count);
-  }
   write_span.Annotate("docs_written", static_cast<uint64_t>(docs_written));
   write_span.End();
 

@@ -130,47 +130,9 @@ std::optional<uint64_t> ParseWalFileName(std::string_view name) {
   return n;
 }
 
-std::string FormatSymbolsFile(const std::vector<std::string>& terms) {
-  std::string out;
-  for (const std::string& term : terms) {
-    out += EscapeKey(term);
-    out += '\n';
-  }
-  return out;
-}
-
-Result<std::vector<std::string>> ParseSymbolsFile(std::string_view text,
-                                                  uint64_t expected_count) {
-  std::vector<std::string> terms;
-  terms.reserve(expected_count);
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) {
-      return Status::ParseError("symbols file truncated mid-line");
-    }
-    TOSS_ASSIGN_OR_RETURN(std::string term,
-                          UnescapeKey(text.substr(pos, eol - pos)));
-    terms.push_back(std::move(term));
-    pos = eol + 1;
-  }
-  if (terms.size() != expected_count) {
-    return Status::ParseError(
-        "symbols file has " + std::to_string(terms.size()) +
-        " terms, manifest records " + std::to_string(expected_count));
-  }
-  return terms;
-}
-
 std::string SnapshotManifest::Format() const {
   std::string out = "toss-snapshot " +
                     std::to_string(kSnapshotFormatVersion) + "\n";
-  {
-    char crc[16];
-    std::snprintf(crc, sizeof(crc), "%08x", symbols.crc32);
-    out += "symbols " + symbols.file + " " + std::to_string(symbols.count) +
-           " " + std::to_string(symbols.bytes) + " " + crc + "\n";
-  }
   if (wal.has_value()) {
     out += "wal " + wal->file + " " + std::to_string(wal->start_seq) + "\n";
   }
@@ -194,7 +156,6 @@ Result<SnapshotManifest> ParseManifest(std::string_view text) {
   size_t pos = 0;
   size_t line_no = 0;
   bool saw_header = false;
-  bool saw_symbols = false;
   bool saw_end = false;
   uint64_t docs_expected = 0;
 
@@ -241,64 +202,9 @@ Result<SnapshotManifest> ParseManifest(std::string_view text) {
       saw_end = true;
       continue;
     }
-    if (StartsWith(line, "symbols ")) {
-      // symbols <file> <count> <bytes> <crc32-hex>; header-adjacent: it
-      // describes the whole generation, so it precedes every collection.
-      if (saw_symbols) {
-        return Status::ParseError("manifest has duplicate symbols line");
-      }
-      if (!manifest.collections.empty()) {
-        return Status::ParseError(
-            "manifest symbols line must precede collections");
-      }
-      std::string_view rest = line.substr(8);
-      size_t sp1 = rest.find(' ');
-      size_t sp2 = sp1 == std::string_view::npos
-                       ? std::string_view::npos
-                       : rest.find(' ', sp1 + 1);
-      size_t sp3 = sp2 == std::string_view::npos
-                       ? std::string_view::npos
-                       : rest.find(' ', sp2 + 1);
-      if (sp3 == std::string_view::npos ||
-          rest.find(' ', sp3 + 1) != std::string_view::npos) {
-        return Status::ParseError("malformed symbols line: '" +
-                                  std::string(line) + "'");
-      }
-      ManifestSymbols sym;
-      sym.file = std::string(rest.substr(0, sp1));
-      long long count = 0;
-      long long bytes = 0;
-      if (sym.file.empty() ||
-          !ParseInt(rest.substr(sp1 + 1, sp2 - sp1 - 1), &count) ||
-          count < 0 || !ParseInt(rest.substr(sp2 + 1, sp3 - sp2 - 1), &bytes) ||
-          bytes < 0) {
-        return Status::ParseError("malformed symbols line: '" +
-                                  std::string(line) + "'");
-      }
-      sym.count = static_cast<uint64_t>(count);
-      sym.bytes = static_cast<uint64_t>(bytes);
-      std::string_view crc = rest.substr(sp3 + 1);
-      if (crc.empty() || crc.size() > 8) {
-        return Status::ParseError("malformed crc32 in: '" +
-                                  std::string(line) + "'");
-      }
-      uint32_t crc_value = 0;
-      for (char c : crc) {
-        int digit = HexDigit(c);
-        if (digit < 0) {
-          return Status::ParseError("malformed crc32 in: '" +
-                                    std::string(line) + "'");
-        }
-        crc_value = crc_value * 16 + static_cast<uint32_t>(digit);
-      }
-      sym.crc32 = crc_value;
-      manifest.symbols = std::move(sym);
-      saw_symbols = true;
-      continue;
-    }
     if (StartsWith(line, "wal ")) {
-      // wal <file> <start-seq>; generation-wide like symbols, so it
-      // precedes every collection.
+      // wal <file> <start-seq>; generation-wide, so it precedes every
+      // collection.
       if (manifest.wal.has_value()) {
         return Status::ParseError("manifest has duplicate wal line");
       }
@@ -413,9 +319,6 @@ Result<SnapshotManifest> ParseManifest(std::string_view text) {
   }
   if (!saw_end) {
     return Status::ParseError("manifest truncated: missing end-snapshot");
-  }
-  if (!saw_symbols) {
-    return Status::ParseError("manifest is missing its symbols line");
   }
   return manifest;
 }

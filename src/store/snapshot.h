@@ -14,9 +14,8 @@
 // MANIFEST grammar (text, line-oriented; <key> / <name> are %-escaped so
 // newlines, '%', and control bytes round-trip):
 //
-//   toss-snapshot 1
-//   symbols <file> <count> <bytes> <crc32-hex>   (exactly one)
-//   wal <file> <start-seq>                       (optional, at most one)
+//   toss-snapshot 2
+//   wal <file> <start-seq>                  (optional, at most one)
 //   collection <subdir> <ndocs> <escaped-name>
 //   doc <file> <bytes> <crc32-hex> <escaped-key>
 //   ...                                     (exactly <ndocs> doc lines)
@@ -29,13 +28,11 @@
 // record must carry; an absent file is an empty log. Generations written
 // by a plain Save have no wal line and replay nothing.
 //
-// The symbols line names a sidecar term-dictionary file (<count> %-escaped
-// terms, one per line) holding every tag/content term of the snapshot's
-// documents; Open pre-interns them so id-based evaluation starts warm (see
-// DESIGN.md "Term dictionary & id-based evaluation"). The line is
-// required, and the table is verified like a document payload -- byte
-// count and CRC32. A missing line or a corrupt table rejects the whole
-// generation (Open degrades to the next intact one).
+// A generation holds documents only: no term dictionary and no index is
+// persisted. Open re-inserts every document, which rebuilds the indexes
+// and interns each tag as it is indexed; content terms intern when a
+// document first decodes. Version 1 generations (which carried a SYMBOLS
+// term-dictionary sidecar) are refused as Unsupported.
 //
 // Collection subdirectories and document filenames are ordinals, never
 // derived from user-provided names/keys, so hostile keys cannot escape the
@@ -58,8 +55,7 @@ namespace toss::store {
 
 inline constexpr char kCurrentFileName[] = "CURRENT";
 inline constexpr char kManifestFileName[] = "MANIFEST";
-inline constexpr char kSymbolsFileName[] = "SYMBOLS";
-inline constexpr int kSnapshotFormatVersion = 1;
+inline constexpr int kSnapshotFormatVersion = 2;
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`.
 uint32_t Crc32(std::string_view data);
@@ -95,14 +91,6 @@ struct ManifestCollection {
   std::vector<ManifestDoc> docs;
 };
 
-/// Descriptor of the generation's term-dictionary sidecar file.
-struct ManifestSymbols {
-  std::string file = kSymbolsFileName;  ///< filename inside the generation dir
-  uint64_t count = 0;  ///< number of term lines in the file
-  uint64_t bytes = 0;
-  uint32_t crc32 = 0;
-};
-
 /// Descriptor of the generation's tail write-ahead log.
 struct ManifestWal {
   std::string file;        ///< log filename, a sibling of the gen dirs
@@ -110,23 +98,11 @@ struct ManifestWal {
 };
 
 struct SnapshotManifest {
-  ManifestSymbols symbols;
   std::optional<ManifestWal> wal;
   std::vector<ManifestCollection> collections;
 
   std::string Format() const;
 };
-
-/// Serializes a term dictionary: one %-escaped term per line, terms in the
-/// given order (Save passes them sorted). Lossless for arbitrary bytes,
-/// including empty terms (an empty line) and terms with newlines.
-std::string FormatSymbolsFile(const std::vector<std::string>& terms);
-
-/// Inverse of FormatSymbolsFile. Verifies the line count against
-/// `expected_count` (from the manifest) and rejects malformed escapes or a
-/// truncated final line.
-Result<std::vector<std::string>> ParseSymbolsFile(std::string_view text,
-                                                  uint64_t expected_count);
 
 /// Parses and validates a MANIFEST. Truncated documents, unknown versions,
 /// bad counts, and malformed escapes all yield typed errors (ParseError /

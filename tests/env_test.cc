@@ -340,21 +340,24 @@ TEST(SnapshotFormatTest, ManifestRejectsDamage) {
     auto r = ParseManifest(full.substr(0, cut));
     EXPECT_FALSE(r.ok()) << "prefix of length " << cut << " parsed";
   }
-  // Unknown version.
+  // Unknown version, and version 1 (its SYMBOLS sidecar is gone).
   EXPECT_TRUE(ParseManifest("toss-snapshot 99\nend-snapshot\n")
+                  .status()
+                  .IsUnsupported());
+  EXPECT_TRUE(ParseManifest("toss-snapshot 1\nend-snapshot\n")
                   .status()
                   .IsUnsupported());
   // Trailing garbage, doc-count mismatches, stray doc lines.
   EXPECT_FALSE(ParseManifest(full + "junk\n").ok());
   EXPECT_FALSE(
-      ParseManifest("toss-snapshot 1\ncollection c0 2 name\n"
+      ParseManifest("toss-snapshot 2\ncollection c0 2 name\n"
                     "doc f 1 ab k\nend-snapshot\n")
           .ok());
   EXPECT_FALSE(
-      ParseManifest("toss-snapshot 1\ndoc f 1 ab k\nend-snapshot\n").ok());
+      ParseManifest("toss-snapshot 2\ndoc f 1 ab k\nend-snapshot\n").ok());
   // Malformed escape in a key field -> typed ParseError.
   EXPECT_TRUE(
-      ParseManifest("toss-snapshot 1\ncollection c0 1 name\n"
+      ParseManifest("toss-snapshot 2\ncollection c0 1 name\n"
                     "doc f 1 ab %GZ\nend-snapshot\n")
           .status()
           .IsParseError());

@@ -4,8 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "core/toss.h"
@@ -193,16 +194,26 @@ TEST_F(CorruptStoreTest, AllGenerationsCorruptIsIOErrorListingReasons) {
   EXPECT_NE(st.message().find("gen-1"), std::string::npos) << st;
 }
 
-TEST_F(CorruptStoreTest, ManifestWithoutSymbolsLineDegradesPastTheGeneration) {
-  // Save always writes the symbols line, so a MANIFEST without one is
-  // damaged: the generation is rejected and Open serves the older one.
+TEST_F(CorruptStoreTest, VersionOneGenerationIsRefusedAsUnsupported) {
+  // A generation holds its MANIFEST and one directory per collection.
+  std::vector<std::string> entries;
+  for (const auto& entry : fs::directory_iterator(dir_ / "gen-1")) {
+    entries.push_back(entry.path().filename().string());
+  }
+  std::sort(entries.begin(), entries.end());
+  EXPECT_EQ(entries, (std::vector<std::string>{store::kManifestFileName,
+                                               "c000000"}));
+
+  // A version 1 generation (it carried a term-dictionary sidecar) is
+  // refused, and Open serves the older one.
   fs::copy(dir_ / "gen-1", dir_ / "gen-2", fs::copy_options::recursive);
   Overwrite(store::kCurrentFileName, "gen-2\n");
   const fs::path manifest_path = fs::path("gen-2") / store::kManifestFileName;
   std::string manifest = ReadBack(manifest_path);
-  const size_t sym_pos = manifest.find("\nsymbols ");
-  ASSERT_NE(sym_pos, std::string::npos) << manifest;
-  manifest.erase(sym_pos + 1, manifest.find('\n', sym_pos + 1) - sym_pos);
+  const std::string v2 = "toss-snapshot 2\n";
+  ASSERT_EQ(manifest.rfind(v2, 0), 0u) << manifest;
+  manifest.replace(0, v2.size(),
+                   "toss-snapshot 1\nsymbols SYMBOLS 0 0 00000000\n");
   Overwrite(manifest_path, manifest);
 
   store::RecoveryReport report;
@@ -213,10 +224,11 @@ TEST_F(CorruptStoreTest, ManifestWithoutSymbolsLineDegradesPastTheGeneration) {
   ASSERT_TRUE(coll.ok());
   EXPECT_EQ((*coll)->size(), 2u);
   EXPECT_EQ(report.loaded_generation, "gen-1");
-  EXPECT_TRUE(report.degraded());
   ASSERT_EQ(report.discarded.size(), 1u);
   EXPECT_EQ(report.discarded[0].generation, "gen-2");
-  EXPECT_NE(report.discarded[0].reason.find("symbols"), std::string::npos)
+  EXPECT_NE(report.discarded[0].reason.find("Unsupported"), std::string::npos)
+      << report.discarded[0].reason;
+  EXPECT_NE(report.discarded[0].reason.find("version 1"), std::string::npos)
       << report.discarded[0].reason;
 }
 

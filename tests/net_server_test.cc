@@ -448,12 +448,19 @@ TEST_F(NetServerTest, SaturatedServiceSheds429) {
   const std::string query = service::wire::RequestJson(AuthorSelect());
   const size_t kClients = 8;
   std::atomic<int> ok{0}, shed{0}, other{0};
+  // Any one round of requests may happen not to overlap (each query takes
+  // tens of microseconds), so after five requests each client keeps
+  // sending until the server has shed one, for at most 10 s.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kClients; ++t) {
     threads.emplace_back([&] {
       TestClient client;
       ASSERT_TRUE(client.Connect(port));
-      for (int i = 0; i < 5; ++i) {
+      for (int i = 0; i < 5 || (shed.load() == 0 &&
+                                std::chrono::steady_clock::now() < give_up);
+           ++i) {
         switch (client.Post("/v1/query", query).status) {
           case 200: ok.fetch_add(1); break;
           case 429: shed.fetch_add(1); break;

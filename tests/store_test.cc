@@ -405,8 +405,7 @@ TEST(CollectionTest, ApproxByteSizePositive) {
 }
 
 TEST(CollectionTest, ApproxByteSizeMatchesSerialization) {
-  // Sizes are recorded at Insert/Replace; the sum must equal what a full
-  // re-serialization would report.
+  // The sum must equal what serializing every live document reports.
   Collection coll("papers");
   AddSmallPapers(coll);
   size_t expected = 0;
@@ -471,6 +470,34 @@ TEST(CollectionTest, DecodedTreeDroppedOnReplaceAndRemove) {
   ASSERT_TRUE(coll.Remove("p2").ok());
   EXPECT_EQ(coll.GetTreeCacheStats().entries, 0u);
   EXPECT_TRUE(dead.expired());
+}
+
+// A replaced or removed document leaves the collection: its entry, key and
+// decoded tree are freed, however often one key churns.
+TEST(CollectionTest, ChurnKeepsOnlyTheLiveDocument) {
+  Collection coll("papers");
+  auto paper = [](int rev) {
+    return "<paper><title>Revision " + std::to_string(rev) +
+           "</title><year>1999</year></paper>";
+  };
+  ASSERT_TRUE(coll.InsertXml("k", paper(0)).ok());
+  std::weak_ptr<const tax::DataTree> first = coll.DecodedTree(*coll.FindKey("k"));
+  constexpr int kReplaces = 10000;
+  DocId last = 0;
+  for (int rev = 1; rev <= kReplaces; ++rev) {
+    auto id = coll.Replace("k", std::move(*xml::Parse(paper(rev))));
+    ASSERT_TRUE(id.ok()) << id.status();
+    last = *id;
+  }
+  EXPECT_EQ(coll.size(), 1u);
+  EXPECT_EQ(coll.AllDocs(), (std::vector<DocId>{last}));
+  EXPECT_TRUE(first.expired());
+  EXPECT_EQ(coll.GetTreeCacheStats().entries, 0u);
+  EXPECT_EQ(coll.ApproxByteSize(),
+            xml::Write(*xml::Parse(paper(kReplaces))).size());
+  ASSERT_TRUE(coll.Remove("k").ok());
+  EXPECT_EQ(coll.size(), 0u);
+  EXPECT_TRUE(coll.AllDocs().empty());
 }
 
 TEST(CollectionTest, DecodedTreeCountersMirrorRegistry) {
